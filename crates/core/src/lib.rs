@@ -38,7 +38,6 @@ pub mod baselines;
 pub mod cancel;
 pub mod ilp;
 pub mod oned;
-pub mod par;
 pub mod profit;
 pub mod twod;
 

@@ -48,12 +48,6 @@ static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estim
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 
-/// Scoring one candidate is a sparse profit sum (tens of nanoseconds), so
-/// parallel scatter only pays off in sizeable chunks; below 2× this many
-/// candidates the scatter stays inline (span `round.scatter` brackets both
-/// cases).
-const SCORE_MIN_CHUNK: usize = 256;
-
 /// Observable trace of the rounding loop, powering Figs. 5 and 6.
 #[derive(Debug, Clone, Default)]
 pub struct RoundingTrace {
@@ -256,21 +250,13 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
         }
         trace.unsolved_per_iter.push(unsolved.len());
 
-        // Dynamic profits from the current partial selection (Eqn. 6),
-        // scattered over the pool when enough cores and candidates make it
-        // worthwhile. Each slot is written from its own index, so the
-        // parallel fill is bit-identical to the sequential scan (the
-        // parallel-exactness property tests pin this).
+        // Dynamic profits from the current partial selection (Eqn. 6).
         items.clear();
-        items.resize(unsolved.len(), MkpItem::default());
-        {
-            let _scatter = trace::span("round.scatter");
-            crate::par::fill_chunked(&mut items, SCORE_MIN_CHUNK, |offset, part| {
-                for (k, slot) in part.iter_mut().enumerate() {
-                    *slot = MkpItem::of_char(instance, &region_times, unsolved[offset + k]);
-                }
-            });
-        }
+        items.extend(
+            unsolved
+                .iter()
+                .map(|&i| MkpItem::of_char(instance, &region_times, i)),
+        );
         ROUND_ITERS.incr();
         if hint.order().is_empty() {
             LP_COLD.incr();

@@ -342,9 +342,9 @@ impl SelectionModel {
             }
             first = false;
             out.push_str(&format!(
-                "\n    {}: {{\"races\": {}, \"wins\": {}, \"cancelled\": {}, \"failed\": {}, \
+                "\n    \"{}\": {{\"races\": {}, \"wins\": {}, \"cancelled\": {}, \"failed\": {}, \
                  \"quality_sum\": {}, \"chars_per_sec\": {}}}",
-                json::quote(name),
+                eblow_trace::export::json_escape(name),
                 s.races,
                 s.wins,
                 s.cancelled,
@@ -425,14 +425,6 @@ impl SelectionModel {
             Err(e) => Err(format!("{}: {e}", path.display())),
         }
     }
-}
-
-/// Quotes `s` as a JSON string literal (escapes quotes, backslashes, and
-/// control characters). Shared by the stats writer and by tooling that
-/// emits engine-adjacent JSON artifacts (e.g. `eblow-eval bench`), so the
-/// workspace has exactly one escape table.
-pub fn json_quote(s: &str) -> String {
-    json::quote(s)
 }
 
 /// Parses JSON text with the same hand-rolled parser the selection-model
@@ -676,25 +668,6 @@ mod json {
                 .iter()
                 .find_map(|(k, v)| (k == key).then_some(v))
         }
-    }
-
-    /// Quotes `s` as a JSON string literal.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
     }
 
     /// Formats a finite number (non-finite values clamp to 0 — JSON has no

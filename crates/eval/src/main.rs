@@ -77,7 +77,7 @@ use eblow_core::oned::{
     CombinatorialOracle, Eblow1d, Eblow1dConfig, LpOracle, MkpItem, RowBase, SimplexOracle,
 };
 use eblow_core::twod::Eblow2d;
-use eblow_engine::select::{json_parse, json_quote, JsonValue};
+use eblow_engine::select::{json_parse, JsonValue};
 use eblow_engine::{
     strategy_by_name, write_text_atomic, Budget, Portfolio, PortfolioConfig, SelectionModel,
     Selector, StrategyStatus,
@@ -85,6 +85,7 @@ use eblow_engine::{
 use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
+use eblow_trace::export::json_escape;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -598,23 +599,22 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
             }
         );
         rows.push(format!(
-            "    {{\"case\": {}, \"kind\": {}, \"candidates\": {}, \"regions\": {}, \
+            "    {{\"case\": \"{}\", \"kind\": \"{}\", \"candidates\": {}, \"regions\": {}, \
              \"t_total\": {}, \"chars_on_stencil\": {}, \"wall_s\": {:.6}, \"gen_s\": {:.6}, \
-             \"threads\": {}, \"winner\": {}, \"complete\": {}, \"early_exit\": {}, \
+             \"threads\": {}, \"winner\": \"{}\", \"complete\": {}, \"early_exit\": {}, \
              \"strategies_raced\": {}, \"counters\": {{{}}}}}",
-            json_quote(&name),
-            json_quote(if inst.num_rows().is_ok() { "1d" } else { "2d" }),
+            json_escape(&name),
+            if inst.num_rows().is_ok() { "1d" } else { "2d" },
             inst.num_chars(),
             inst.num_regions(),
             best.total_time,
             best.selection.count(),
             outcome.elapsed.as_secs_f64(),
             gen_s,
-            // The effective core budget (EBLOW_POOL_THREADS, else available
-            // parallelism): wall-clocks from different thread counts are
+            // The core count: wall-clocks from different core counts are
             // not comparable, and the row must say which one it measured.
-            rayon::pool::configured_threads(),
-            json_quote(best.strategy),
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            json_escape(best.strategy),
             outcome.complete(),
             outcome.early_exit,
             outcome.supported,
@@ -627,9 +627,9 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let doc = format!(
-        "{{\n  \"schema\": \"eblow-bench/2\",\n  \"rev\": {},\n  \"generated_unix\": {},\n  \
+        "{{\n  \"schema\": \"eblow-bench/2\",\n  \"rev\": \"{}\",\n  \"generated_unix\": {},\n  \
          \"deadline_s\": {:.3},\n  \"cases\": [\n{}\n  ]\n}}\n",
-        json_quote(&rev),
+        json_escape(&rev),
         generated,
         deadline.as_secs_f64(),
         rows.join(",\n"),
@@ -654,7 +654,7 @@ fn counter_deltas_json(before: &[eblow_trace::CounterValue]) -> String {
                 .find(|b| b.name == after.name)
                 .map_or(0, |b| b.value);
             let delta = after.value.saturating_sub(base);
-            (delta > 0).then(|| format!("{}: {}", json_quote(after.name), delta))
+            (delta > 0).then(|| format!("\"{}\": {}", json_escape(after.name), delta))
         })
         .collect::<Vec<_>>()
         .join(", ")

@@ -196,7 +196,12 @@ impl BranchBound {
                     }
                     continue; // can't bound; should not happen with boxed integers
                 }
-                LpStatus::IterationLimit => continue,
+                // The subtree under this node goes unexplored, so the
+                // search can no longer certify its result.
+                LpStatus::IterationLimit => {
+                    limit_hit = true;
+                    continue;
+                }
                 LpStatus::Optimal => {}
             }
             let node_score = score(rel.objective);
@@ -302,8 +307,8 @@ mod tests {
     use super::*;
     use crate::problem::Relation;
 
-    #[test]
-    fn knapsack_exact() {
+    /// A 5-item 0/1 knapsack with capacity 12 (optimum 23).
+    fn knapsack() -> (LpProblem, Vec<VarId>) {
         let profits = [10.0, 13.0, 7.0, 8.0, 4.0];
         let weights = [5.0, 6.0, 4.0, 5.0, 3.0];
         let cap = 12.0;
@@ -311,10 +316,36 @@ mod tests {
         let vars: Vec<_> = profits.iter().map(|&p| lp.add_binary(p)).collect();
         let terms: Vec<_> = vars.iter().zip(weights).map(|(&v, w)| (v, w)).collect();
         lp.add_constraint(&terms, Relation::Le, cap);
+        (lp, vars)
+    }
+
+    #[test]
+    fn knapsack_exact() {
+        let (lp, vars) = knapsack();
         let sol = BranchBound::default().solve(&lp, &vars);
         assert_eq!(sol.status, MilpStatus::Optimal);
         // brute force: best is items 1 + 3 (13+8=21, weight 11) vs 0+1 (23, weight 11) ✓
         assert!((sol.objective - 23.0).abs() < 1e-6, "got {}", sol.objective);
+    }
+
+    #[test]
+    fn iteration_limited_relaxations_never_certify() {
+        // With no simplex pivots allowed every node relaxation stops at its
+        // iteration limit: no subtree is explored, so nothing is certified.
+        let (lp, vars) = knapsack();
+        let cfg = MilpConfig {
+            simplex: SimplexConfig {
+                max_iters: Some(0),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let solver = BranchBound::new(cfg);
+        assert_eq!(solver.solve(&lp, &vars).status, MilpStatus::TimedOut);
+        let zero = vec![0.0; vars.len()];
+        let seeded = solver.solve_with_incumbent(&lp, &vars, Some(&zero));
+        assert_eq!(seeded.status, MilpStatus::Feasible);
+        assert_eq!(seeded.objective, 0.0);
     }
 
     #[test]

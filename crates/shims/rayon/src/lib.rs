@@ -1,184 +1,16 @@
 //! Offline, workspace-local stand-in for the `rayon` crate.
 //!
-//! The E-BLOW workspace builds with no access to crates.io, so the slice of
-//! the `rayon` API the planners actually use is reimplemented here on
-//! `std::thread::scope`. The guarantees the workspace relies on hold:
-//!
-//! * **Deterministic results** — every combinator returns results in input
-//!   order ([`ParallelIterator::collect`]) or the input-order-first match
-//!   ([`ParallelIterator::find_first`]), regardless of
-//!   how the OS schedules workers. Planning output is bit-identical at any
-//!   thread count, including 1.
-//! * **Sequential fallback** — with one effective thread (or one task) no
-//!   thread is spawned and no synchronization is touched: the closures run
-//!   inline on the caller, so a pool forced to a single thread costs the
-//!   same as a plain loop.
-//! * **Cooperative sizing** — regions size themselves from the process-wide
-//!   [`pool`], which subtracts the portfolio racer's active OS workers from
-//!   the configured core budget, so intra-strategy parallelism never
-//!   oversubscribes a race (see [`pool::current_num_threads`]).
-//!
-//! ## Divergences from real rayon
-//!
-//! There is no persistent worker pool and no per-task stealing deque:
-//! parallel regions spawn scoped threads that *self-schedule* — workers
-//! claim fixed-size chunks of the index space from a shared atomic cursor,
-//! which gives the same load-balancing behaviour as stealing for the
-//! flat maps the planners run (uneven chunks migrate to idle workers
-//! automatically) without any `unsafe`. Scoped threads also mean borrowed
-//! (non-`'static`) closures work exactly as they do under real rayon's
-//! `scope`.
-//!
-//! Supported surface: [`join`], [`scope`], [`current_num_threads`], the
-//! [`prelude`] with `into_par_iter()` over `Range<usize>` and `par_iter()`
-//! over slices, and the iterator combinators `map`, `with_min_len`,
-//! `for_each`, `collect` (to `Vec`), and `find_first`.
+//! The planners run no intra-strategy data parallelism, so the only piece
+//! of the `rayon` surface left is [`pool::configured_threads`], which the
+//! benchmark (`perfbench/`) reports as the machine's core count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod iter;
-pub mod pool;
-
-/// The canonical import set, mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSlice,
-    };
-}
-
-pub use iter::{IntoParallelIterator, ParallelIterator};
-pub use pool::current_num_threads;
-
-/// Runs `a` and `b`, potentially in parallel, and returns both results.
-///
-/// With a spare effective thread, `b` runs on a scoped worker while the
-/// caller runs `a`; otherwise both run sequentially on the caller. Results
-/// are always `(a(), b())` — ordering is unaffected by the schedule.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("rayon-shim: join worker panicked");
-        (ra, rb)
-    })
-}
-
-/// A scope in which borrowed tasks can be spawned; mirrors `rayon::scope`.
-///
-/// Tasks spawned through [`Scope::spawn`] run on scoped OS threads (or
-/// inline when the pool is down to one effective thread) and are all joined
-/// before `scope` returns.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| {
-        let sc = Scope {
-            inner: s,
-            sequential: pool::current_num_threads() <= 1,
-        };
-        f(&sc)
-    })
-}
-
-/// Handle for spawning borrowed tasks inside a [`scope`] region.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-    sequential: bool,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns `task` into the scope. With one effective thread the task
-    /// runs immediately on the caller — same observable effects, no thread.
-    pub fn spawn<F>(&self, task: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        if self.sequential {
-            task();
-        } else {
-            self.inner.spawn(task);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn join_returns_both_results_in_order() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
-
-    #[test]
-    fn scope_joins_all_spawned_tasks() {
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn collect_preserves_input_order_at_every_thread_count() {
-        let expect: Vec<usize> = (0..1000).map(|i| i * 7).collect();
-        for threads in [1usize, 2, 4] {
-            let got = pool::with_threads(threads, || {
-                (0..1000usize)
-                    .into_par_iter()
-                    .map(|i| i * 7)
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn find_first_is_the_lowest_matching_index() {
-        for threads in [1usize, 2, 4] {
-            let got = pool::with_threads(threads, || {
-                (0..10_000usize)
-                    .into_par_iter()
-                    .with_min_len(64)
-                    .find_first(|&i| i % 997 == 500)
-            });
-            assert_eq!(got, Some(500), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn slices_iterate_in_order() {
-        let data: Vec<u64> = (0..500).map(|i| i * 3).collect();
-        let doubled: Vec<u64> = pool::with_threads(4, || data.par_iter().map(|&x| x * 2).collect());
-        assert_eq!(doubled, (0..500).map(|i| i * 6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_visits_every_element_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..300).map(|_| AtomicUsize::new(0)).collect();
-        pool::with_threads(3, || {
-            (0..300usize).into_par_iter().for_each(|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+/// Thread-budget query, mirroring `rayon::current_num_threads`.
+pub mod pool {
+    /// The machine's available parallelism (1 when it cannot be determined).
+    pub fn configured_threads() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 }
