@@ -38,10 +38,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "determinism",
-        summary: "wall-clock or randomness in digest/feature/persistence paths",
-        rationale: "`InstanceDigest` keys the plan cache and `InstanceFeatures` feeds selection; \
-                    any nondeterminism (clocks, RNG, hash-order iteration) silently poisons \
-                    cache keys and persisted stats",
+        summary: "wall-clock or randomness in digest/persistence paths",
+        rationale: "`InstanceDigest` keys the plan cache; any nondeterminism (clocks, RNG, \
+                    hash-order iteration) silently poisons cache keys and persisted instances",
     },
     RuleInfo {
         id: "allow-justification",
@@ -393,15 +392,12 @@ const NONDET_IDENTS: &[&str] = &["Instant", "SystemTime", "thread_rng", "random"
 /// digest; BTreeMap/BTreeSet are the deterministic stand-ins.
 const NONDET_CONTAINERS: &[&str] = &["HashMap", "HashSet"];
 
-/// determinism: digest/feature/persistence paths in eblow-model must not
+/// determinism: digest/persistence paths in eblow-model must not
 /// read clocks, RNGs, or iterate hash-ordered containers.
 fn determinism(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     let scoped = matches!(
         rel,
-        "crates/model/src/digest.rs"
-            | "crates/model/src/features.rs"
-            | "crates/model/src/io.rs"
-            | "crates/model/src/selection.rs"
+        "crates/model/src/digest.rs" | "crates/model/src/io.rs" | "crates/model/src/selection.rs"
     );
     if !scoped {
         return;
@@ -418,8 +414,8 @@ fn determinism(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                 file: rel.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{s}` in a digest/feature/persistence path — these outputs key caches and \
-                     persisted stats and must be bit-stable{}",
+                    "`{s}` in a digest/persistence path — these outputs key caches and \
+                     persisted instances and must be bit-stable{}",
                     if hashed {
                         " (use BTreeMap/BTreeSet for deterministic iteration)"
                     } else {

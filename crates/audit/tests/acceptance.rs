@@ -95,13 +95,13 @@ fn deleting_a_stop_flag_param_trips_deny_new() {
 #[test]
 fn renaming_a_trace_counter_trips_deny_new() {
     let ctx = AuditContext {
-        readme: Some("Counters: `select.fallback` tracks shortlist misses.".to_string()),
+        readme: Some("Counters: `shard.mono_refine_won` tracks refinement-lane wins.".to_string()),
         ..AuditContext::default()
     };
-    let before_src = "static FALLBACKS: eblow_trace::Counter =
-    eblow_trace::Counter::new(\"select.fallback\");
+    let before_src = "static MONO_REFINE_WON: eblow_trace::Counter =
+    eblow_trace::Counter::new(\"shard.mono_refine_won\");
 ";
-    let before = scan(&[("crates/engine/src/select.rs", before_src)], &ctx);
+    let before = scan(&[("crates/engine/src/shard.rs", before_src)], &ctx);
     assert!(
         before.counts.is_empty(),
         "shipped tree must scan clean: {:?}",
@@ -110,14 +110,14 @@ fn renaming_a_trace_counter_trips_deny_new() {
 
     // Regression: the counter is renamed but the README table is not —
     // the registry rule flags the drift.
-    let after_src = "static FALLBACKS: eblow_trace::Counter =
-    eblow_trace::Counter::new(\"select.fallback_total\");
+    let after_src = "static MONO_REFINE_WON: eblow_trace::Counter =
+    eblow_trace::Counter::new(\"shard.mono_refine_won_total\");
 ";
-    let after = scan(&[("crates/engine/src/select.rs", after_src)], &ctx);
+    let after = scan(&[("crates/engine/src/shard.rs", after_src)], &ctx);
     let regs = empty_baseline().regressions(&after);
     assert!(
         regs.iter()
-            .any(|r| r.rule == "trace-name-registry" && r.file == "crates/engine/src/select.rs"),
+            .any(|r| r.rule == "trace-name-registry" && r.file == "crates/engine/src/shard.rs"),
         "expected a trace-name-registry regression, got {regs:?}"
     );
 }

@@ -94,7 +94,7 @@ fn determinism_fires_once_and_suppresses() {
     let rel = "crates/model/src/digest.rs";
     assert_fires_once(rel, &fixture("determinism.rs"), "determinism");
     assert_clean(rel, &fixture("determinism_allowed.rs"));
-    // Outside the digest/feature/persistence scope, clocks are fine.
+    // Outside the digest/persistence scope, clocks are fine.
     assert_clean("crates/model/src/instance.rs", &fixture("determinism.rs"));
 }
 
@@ -210,13 +210,13 @@ fn stop_flag_reachability_fires_across_files_and_suppresses() {
 fn trace_name_registry_fires_once_and_suppresses() {
     let ctx = AuditContext::default();
     let bad = fixture("trace_name_registry.rs");
-    let f = ws_scan(&[("crates/engine/src/select.rs", &bad)], &ctx);
+    let f = ws_scan(&[("crates/engine/src/shard.rs", &bad)], &ctx);
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "trace-name-registry");
     assert!(f[0].message.contains("area.noun"), "{}", f[0].message);
 
     let allowed = fixture("trace_name_registry_allowed.rs");
-    let f = ws_scan(&[("crates/engine/src/select.rs", &allowed)], &ctx);
+    let f = ws_scan(&[("crates/engine/src/shard.rs", &allowed)], &ctx);
     assert!(f.is_empty(), "{f:?}");
 
     // The trace crate's own sources (unit-test scratch names) are exempt.

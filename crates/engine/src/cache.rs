@@ -18,10 +18,6 @@ use std::path::Path;
 /// crash) never observes a half-written file. Parent directories are
 /// created as needed.
 ///
-/// This is the persistence primitive for the engine's learned artifacts —
-/// the strategy-selection statistics (`eblow_engine::select`) live in a
-/// JSON file alongside the plan cache and are rewritten through this helper
-/// after every observed race.
 pub fn write_text_atomic(path: &Path, contents: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

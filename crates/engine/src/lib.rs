@@ -12,7 +12,7 @@
 //!   flag. Every planner in `eblow-core` polls the flag at loop boundaries
 //!   and finishes a *valid* plan early when it is raised, so cancellation
 //!   is anytime, not best-effort.
-//! * [`Portfolio`] — races selected strategies across OS threads under the
+//! * [`Portfolio`] — races a set of strategies across OS threads under the
 //!   deadline, validates every returned plan against the model, and picks
 //!   the minimum-writing-time valid plan. Per-strategy reports record who
 //!   finished, who was cancelled, and who won.
@@ -22,15 +22,9 @@
 //! * [`shard`] — the composite `shard1d`/`shard2d` strategies for huge
 //!   instances: split into per-region / per-row-band sub-instances, race
 //!   each shard on the portfolio machinery in parallel, stitch the
-//!   sub-plans back into one validated placement. Shard counts adapt to
-//!   the measured per-strategy throughput of the selection model.
-//! * [`select`] — feature-driven portfolio selection: a per-strategy
-//!   throughput/quality model ([`SelectionModel`], seeded from priors,
-//!   learning online from race reports, persisted as JSON) scores the
-//!   registry against an instance's
-//!   [`InstanceFeatures`](eblow_model::InstanceFeatures) so the
-//!   [`Planner`] spawns only the top-k predicted strategies — with a
-//!   full-registry fallback when `supports()` empties the shortlist.
+//!   sub-plans back into one validated placement. Each split targets a
+//!   fixed number of candidates per shard
+//!   ([`ShardConfig::target_shard_chars`]).
 //!
 //! # Quickstart
 //!
@@ -60,7 +54,6 @@ mod cache;
 mod outcome;
 mod planner;
 mod portfolio;
-pub mod select;
 pub mod shard;
 pub mod strategy;
 
@@ -69,6 +62,5 @@ pub use cache::{write_text_atomic, CacheStats, LruCache, PlanCacheKey};
 pub use outcome::{EngineError, PlanDetail, PlanOutcome};
 pub use planner::{BatchResult, Planner};
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, StrategyReport, StrategyStatus};
-pub use select::{race_with_fallback, SelectedRace, SelectionModel, Selector, StrategyStats};
 pub use shard::{Shard1dStrategy, Shard2dStrategy, ShardConfig};
 pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy, StrategyId};

@@ -78,9 +78,11 @@ pub struct PlanOutcome {
     /// Whether this plan was degraded by an *internal* deadline even
     /// though the caller's budget never fired — a composite strategy (the
     /// shard fan-out) slices its own sub-deadlines, and a sub-race torn
-    /// down mid-run yields a weaker stitch. The portfolio folds this into
-    /// its cancelled accounting so the plan cache's
-    /// never-cache-degraded-races rule sees through composites.
+    /// down mid-run yields a weaker stitch; an exact ILP whose time limit
+    /// (clamped to the deadline) stops the search before it proves
+    /// optimality returns an unproven incumbent. The portfolio folds this
+    /// into its cancelled accounting so the plan cache's
+    /// never-cache-degraded-races rule sees through both.
     pub degraded: bool,
     /// Whether the producing strategy *proved* this plan optimal (an exact
     /// ILP that ran to `MilpStatus::Optimal` rather than timing out with an

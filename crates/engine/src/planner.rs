@@ -3,7 +3,6 @@
 use crate::cache::{CacheStats, LruCache, PlanCacheKey};
 use crate::outcome::PlanOutcome;
 use crate::portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome};
-use crate::select::Selector;
 use eblow_model::Instance;
 use eblow_trace as trace;
 use std::num::NonZeroUsize;
@@ -42,7 +41,6 @@ pub struct BatchResult {
 pub struct Planner {
     portfolio: Portfolio,
     config: PortfolioConfig,
-    selector: Option<Selector>,
     cache: Mutex<LruCache<PlanCacheKey, PlanOutcome>>,
     workers: usize,
     hits: AtomicU64,
@@ -65,7 +63,6 @@ impl Planner {
         Planner {
             portfolio,
             config: PortfolioConfig::default(),
-            selector: None,
             cache: Mutex::new(LruCache::new(1024)),
             workers,
             hits: AtomicU64::new(0),
@@ -76,18 +73,6 @@ impl Planner {
     /// Sets the race configuration (deadline, ILP cap).
     pub fn with_config(mut self, config: PortfolioConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Enables feature-driven strategy selection: instead of racing the
-    /// whole portfolio, each plan request races only the selector's top-k
-    /// shortlist (predicted from
-    /// [`InstanceFeatures`](eblow_model::InstanceFeatures) and the learned
-    /// throughput/quality model), falling back to the full portfolio when
-    /// `supports()` filtering leaves the shortlist with nothing to run.
-    /// Every race's reports are observed back into the selector's model.
-    pub fn with_selector(mut self, selector: Selector) -> Self {
-        self.selector = Some(selector);
         self
     }
 
@@ -117,37 +102,13 @@ impl Planner {
     }
 
     fn cache_key(&self, instance: &Instance) -> PlanCacheKey {
-        let mut names: Vec<&str> = self.portfolio.names();
-        // A selecting planner answers from a (learned) subset of the
-        // portfolio; fingerprint the mode so its plans are never served to
-        // a full-zoo planner over the same strategy set (and vice versa).
-        // `~` cannot appear in a registry name, so the tag cannot collide.
-        let tag;
-        if let Some(selector) = &self.selector {
-            tag = format!("~select:{}", selector.k());
-            names.push(&tag);
-        }
-        PlanCacheKey::new(instance, names)
-    }
-
-    /// Runs one race through the configured path: the selector shortlist
-    /// (with full-portfolio fallback and model observation) when selection
-    /// is enabled, the plain full-portfolio race otherwise.
-    fn race(&self, instance: &Instance) -> PortfolioOutcome {
-        match &self.selector {
-            Some(selector) => {
-                selector
-                    .race(&self.portfolio, instance, &self.config)
-                    .outcome
-            }
-            None => self.portfolio.run(instance, &self.config),
-        }
+        PlanCacheKey::new(instance, self.portfolio.names())
     }
 
     /// Races the portfolio on one instance, bypassing the cache, and
     /// returns the full race report.
     pub fn plan_uncached(&self, instance: &Instance) -> PortfolioOutcome {
-        self.race(instance)
+        self.portfolio.run(instance, &self.config)
     }
 
     /// Races the portfolio on one instance, serving and populating the
@@ -171,7 +132,7 @@ impl Planner {
         self.misses.fetch_add(1, Ordering::Relaxed);
         CACHE_MISSES.incr();
         trace::instant("planner.cache.miss", 0, 0);
-        let outcome = self.race(instance);
+        let outcome = self.portfolio.run(instance, &self.config);
         // Deadline-degraded races are not cached: a later request under
         // less load deserves a fresh, full-quality race, not a permanently
         // pinned partial answer.
@@ -204,9 +165,9 @@ impl Planner {
         let workers = self.workers.min(instances.len()).max(1);
 
         std::thread::scope(|scope| {
-            // audit:allow(stop-flag-coverage): spawns one claim loop per worker; each race() carries its own deadline budget
+            // audit:allow(stop-flag-coverage): spawns one claim loop per worker; each portfolio run carries its own deadline budget
             for _ in 0..workers {
-                // audit:allow(stop-flag-coverage): batch claim loop must drain the queue; per-instance cancellation lives inside race()
+                // audit:allow(stop-flag-coverage): batch claim loop must drain the queue; per-instance cancellation lives inside the portfolio run
                 scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     if index >= instances.len() {
@@ -229,7 +190,7 @@ impl Planner {
                         None => {
                             self.misses.fetch_add(1, Ordering::Relaxed);
                             CACHE_MISSES.incr();
-                            let raced = self.race(instance);
+                            let raced = self.portfolio.run(instance, &self.config);
                             // Same rule as plan(): never cache a
                             // deadline-degraded race.
                             if raced.complete() {
@@ -331,43 +292,6 @@ mod tests {
         let planner = quick_planner();
         assert!(planner.plan_batch(&[]).is_empty());
         assert_eq!(planner.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn selecting_planner_races_a_shortlist_and_caches() {
-        let planner = Planner::portfolio().with_selector(crate::select::Selector::with_model(
-            crate::select::SelectionModel::new(),
-            3,
-        ));
-        let inst = eblow_gen::generate(&GenConfig::tiny_1d(34));
-        let first = planner.plan(&inst);
-        let best = first.best.as_ref().expect("selected shortlist plans it");
-        best.validate(&inst).unwrap();
-        assert!(
-            first.reports.len() <= 3,
-            "only the shortlist raced, got {} reports",
-            first.reports.len()
-        );
-        let second = planner.plan(&inst);
-        assert!(second.reports.is_empty(), "served from the cache");
-        assert_eq!(planner.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn selector_mode_changes_the_cache_fingerprint() {
-        let inst = eblow_gen::generate(&GenConfig::tiny_1d(35));
-        let plain = quick_planner();
-        let selecting =
-            Planner::with_portfolio(Portfolio::of_names(["greedy1d", "rowheur1d"]).unwrap())
-                .with_selector(crate::select::Selector::with_model(
-                    crate::select::SelectionModel::new(),
-                    1,
-                ));
-        assert_eq!(
-            plain.cache_key(&inst).digest,
-            selecting.cache_key(&inst).digest
-        );
-        assert_ne!(plain.cache_key(&inst), selecting.cache_key(&inst));
     }
 
     /// A strategy that spins until the deadline cancels it, then returns a

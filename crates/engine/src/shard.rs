@@ -53,16 +53,11 @@ const MONO_REFINE_MIN_WINDOW: Duration = Duration::from_millis(100);
 
 /// Tunables of the shard composite strategies.
 ///
-/// Under an unlimited budget the split is a deterministic function of the
-/// instance and this configuration, so the plan cache (which keys on the
-/// instance digest plus the strategy name) always refers to one
-/// well-defined shard split. Deadline runs with [`ShardConfig::adaptive`]
-/// additionally fold in the selection model's measured throughput (the
-/// shard count tracks how much the inner strategies can chew within the
-/// window) — such races are only cached when they complete undegraded,
-/// exactly like any other deadline race. Custom configurations must be
-/// registered under their own strategy name — see
-/// [`Shard1dStrategy::with_config`].
+/// The split is a deterministic function of the instance and this
+/// configuration, so the plan cache (which keys on the instance digest
+/// plus the strategy name) always refers to one well-defined shard split.
+/// Custom configurations must be registered under their own strategy
+/// name — see [`Shard1dStrategy::with_config`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// `supports()` gate: instances with fewer candidates are left to the
@@ -70,19 +65,8 @@ pub struct ShardConfig {
     pub min_chars: usize,
     /// Preferred candidate count per shard; the shard count is
     /// `ceil(n / target_shard_chars)` clamped to `2..=max_shards` (and to
-    /// the available rows / region count). With [`ShardConfig::adaptive`]
-    /// set this is only the fallback for deadline-free runs — deadline runs
-    /// derive the target from measured throughput instead.
+    /// the available rows / region count).
     pub target_shard_chars: usize,
-    /// Derive the per-shard candidate target from the selection model's
-    /// measured throughput (`eblow_engine::select`): a shard should hold
-    /// about as many candidates as the slowest inner strategy can chew
-    /// within the remaining deadline window, so the quality member of each
-    /// shard's race finishes instead of being cancelled mid-run. Only
-    /// applies when a deadline window is known; unlimited budgets use the
-    /// fixed `target_shard_chars` (keeping deadline-free runs exactly
-    /// reproducible).
-    pub adaptive: bool,
     /// Hard cap on the number of shards (each shard races the inner
     /// portfolio on its own OS threads). Sharding needs at least two
     /// shards to mean anything, so values below 2 disable the strategy
@@ -99,18 +83,11 @@ pub struct ShardConfig {
     pub stitch_reserve: Duration,
 }
 
-/// Default `supports()` gate of the shard composites: below this many
-/// candidates the monolithic strategies are left alone. Referenced by the
-/// selection model's priors so the feature-predicted gate and the
-/// `supports()` gate cannot drift apart.
-pub const SHARD_DEFAULT_MIN_CHARS: usize = 5000;
-
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            min_chars: SHARD_DEFAULT_MIN_CHARS,
+            min_chars: 5000,
             target_shard_chars: 2000,
-            adaptive: true,
             max_shards: 8,
             duplicate_share: 0.25,
             stitch_reserve: Duration::from_millis(150),
@@ -158,18 +135,14 @@ fn gates_1d(instance: &Instance, config: &ShardConfig) -> bool {
 }
 
 // audit:allow(stop-flag-reachability): one pass over candidates and rows, runs once at plan start before the planning loops
-fn split_1d(
-    instance: &Instance,
-    config: &ShardConfig,
-    target_chars: usize,
-) -> Option<Vec<ShardSpec1d>> {
+fn split_1d(instance: &Instance, config: &ShardConfig) -> Option<Vec<ShardSpec1d>> {
     if !gates_1d(instance, config) {
         return None;
     }
     let total_rows = instance.num_rows().ok()?;
     let n = instance.num_chars();
     let k = n
-        .div_ceil(target_chars.max(1))
+        .div_ceil(config.target_shard_chars.max(1))
         .clamp(2, config.max_shards.min(total_rows));
     let regions = instance.num_regions();
 
@@ -295,11 +268,7 @@ fn band_cap_2d(instance: &Instance) -> Option<usize> {
     Some((instance.stencil().height() / max_char_h.max(1)) as usize)
 }
 
-fn split_2d(
-    instance: &Instance,
-    config: &ShardConfig,
-    target_chars: usize,
-) -> Option<Vec<ShardSpec2d>> {
+fn split_2d(instance: &Instance, config: &ShardConfig) -> Option<Vec<ShardSpec2d>> {
     if !gates_2d(instance, config) {
         return None;
     }
@@ -307,7 +276,7 @@ fn split_2d(
     let height = instance.stencil().height();
     let band_cap = band_cap_2d(instance)?;
     let k = n
-        .div_ceil(target_chars.max(1))
+        .div_ceil(config.target_shard_chars.max(1))
         .clamp(2, config.max_shards.min(band_cap));
     let mut order: Vec<usize> = (0..n).collect();
     sort_by_density_desc(&mut order, instance, |i| instance.char(i).area());
@@ -329,72 +298,11 @@ fn split_2d(
     Some(specs)
 }
 
-/// Bounds on the adaptive per-shard candidate target: below the floor the
-/// stitch/fan-out overhead dominates any shard; the ceiling only guards
-/// against a pathological measured throughput.
-const ADAPTIVE_TARGET_FLOOR: usize = 256;
-const ADAPTIVE_TARGET_CEIL: usize = 1 << 20;
-
-/// The throughput-derived per-shard candidate target (the ROADMAP's
-/// "adaptive shard counts"): the number of candidates the *slowest* inner
-/// strategy — the quality member whose finish decides a shard's plan — is
-/// predicted to process within `window`, per the selection model's
-/// measured (prior-blended) throughput. Shards race in parallel, so each
-/// shard sees the full window.
-fn adaptive_target_chars(
-    inner: &Portfolio,
-    model: &crate::select::SelectionModel,
-    window: Duration,
-    fallback: usize,
-) -> usize {
-    let throughput = inner
-        .strategies()
-        .iter()
-        .map(|s| model.throughput(s.name()))
-        .fold(f64::INFINITY, f64::min);
-    if !throughput.is_finite() || throughput <= 0.0 {
-        return fallback;
-    }
-    let secs = window.as_secs_f64().max(0.05);
-    ((throughput * secs) as usize).clamp(ADAPTIVE_TARGET_FLOOR, ADAPTIVE_TARGET_CEIL)
-}
-
-/// Resolves the per-shard candidate target for one `plan()` call: the
-/// throughput-adaptive value when enabled and a deadline window exists,
-/// the fixed configuration value otherwise.
-fn resolve_target_chars(inner: &Portfolio, config: &ShardConfig, budget: &Budget) -> usize {
-    if !config.adaptive {
-        return config.target_shard_chars;
-    }
-    match budget.remaining() {
-        Some(remaining) => {
-            let window = remaining.saturating_sub(config.stitch_reserve);
-            let model = crate::select::shared_model();
-            let guard = model.lock().expect("selection model lock");
-            adaptive_target_chars(inner, &guard, window, config.target_shard_chars)
-        }
-        None => config.target_shard_chars,
-    }
-}
-
-/// The inner member the selection model predicts slowest — the quality
-/// member whose converged plan a stitched result has to beat — restricted
-/// to members that support the full (unsharded) instance. Ties keep
-/// portfolio order, so the choice is deterministic.
-fn quality_member(inner: &Portfolio, instance: &Instance) -> Option<Arc<dyn Strategy>> {
-    let model = crate::select::shared_model();
-    let guard = model.lock().expect("selection model lock");
-    let mut best: Option<(f64, &Arc<dyn Strategy>)> = None;
-    for s in inner.strategies() {
-        if !s.supports(instance) {
-            continue;
-        }
-        let t = guard.throughput(s.name());
-        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-            best = Some((t, s));
-        }
-    }
-    best.map(|(_, s)| Arc::clone(s))
+/// The quality member whose converged plan a stitched result has to
+/// beat: the first inner strategy that supports the full (unsharded)
+/// instance. Every composite lists its quality pipeline first.
+fn quality_member<'p>(inner: &'p Portfolio, instance: &Instance) -> Option<&'p Arc<dyn Strategy>> {
+    inner.strategies().iter().find(|s| s.supports(instance))
 }
 
 /// Whether a `plan()` call that has already stitched should spend the
@@ -623,8 +531,7 @@ impl Strategy for Shard1dStrategy {
 
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let started = Instant::now();
-        let target = resolve_target_chars(&self.inner, &self.config, budget);
-        let specs = split_1d(instance, &self.config, target).ok_or_else(|| EngineError::Unsupported {
+        let specs = split_1d(instance, &self.config).ok_or_else(|| EngineError::Unsupported {
             strategy: self.name,
             reason: format!(
                 "instance not shardable (needs a row-structured stencil with ≥ 2 rows and ≥ {} candidates)",
@@ -633,13 +540,18 @@ impl Strategy for Shard1dStrategy {
         })?;
         let subs = extract_all_1d(instance, &specs)?;
         let _span = trace::span(self.name);
-        trace::instant_with("shard.split", subs.len() as i64, target as i64, || {
-            let sizes: Vec<String> = subs
-                .iter()
-                .map(|s| s.instance().num_chars().to_string())
-                .collect();
-            format!("sizes=[{}]", sizes.join(","))
-        });
+        trace::instant_with(
+            "shard.split",
+            subs.len() as i64,
+            self.config.target_shard_chars as i64,
+            || {
+                let sizes: Vec<String> = subs
+                    .iter()
+                    .map(|s| s.instance().num_chars().to_string())
+                    .collect();
+                format!("sizes=[{}]", sizes.join(","))
+            },
+        );
         let (results, degraded) =
             race_shards(&self.inner, &subs, budget, self.config.stitch_reserve);
         let parts: Vec<(&SubInstance, &Placement1d)> = subs
@@ -784,8 +696,7 @@ impl Strategy for Shard2dStrategy {
 
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let started = Instant::now();
-        let target = resolve_target_chars(&self.inner, &self.config, budget);
-        let specs = split_2d(instance, &self.config, target).ok_or_else(|| EngineError::Unsupported {
+        let specs = split_2d(instance, &self.config).ok_or_else(|| EngineError::Unsupported {
             strategy: self.name,
             reason: format!(
                 "instance not shardable (needs a free-form stencil ≥ 2 bands tall and ≥ {} candidates)",
@@ -800,13 +711,18 @@ impl Strategy for Shard2dStrategy {
             })
             .collect::<Result<_, _>>()?;
         let _span = trace::span(self.name);
-        trace::instant_with("shard.split", subs.len() as i64, target as i64, || {
-            let sizes: Vec<String> = subs
-                .iter()
-                .map(|s| s.instance().num_chars().to_string())
-                .collect();
-            format!("sizes=[{}]", sizes.join(","))
-        });
+        trace::instant_with(
+            "shard.split",
+            subs.len() as i64,
+            self.config.target_shard_chars as i64,
+            || {
+                let sizes: Vec<String> = subs
+                    .iter()
+                    .map(|s| s.instance().num_chars().to_string())
+                    .collect();
+                format!("sizes=[{}]", sizes.join(","))
+            },
+        );
         let (results, degraded) =
             race_shards(&self.inner, &subs, budget, self.config.stitch_reserve);
         let parts: Vec<(&SubInstance, &Placement2d)> = subs
@@ -904,7 +820,7 @@ mod tests {
     fn split_1d_partitions_rows_and_covers_primaries() {
         let inst = small_1d();
         let config = test_config();
-        let specs = split_1d(&inst, &config, config.target_shard_chars).expect("shardable");
+        let specs = split_1d(&inst, &config).expect("shardable");
         assert!(specs.len() >= 2);
         let total_rows: usize = specs.iter().map(|s| s.rows).sum();
         assert_eq!(total_rows, inst.num_rows().unwrap());
@@ -928,8 +844,8 @@ mod tests {
     fn split_is_deterministic() {
         let inst = small_1d();
         let config = test_config();
-        let a = split_1d(&inst, &config, config.target_shard_chars).unwrap();
-        let b = split_1d(&inst, &config, config.target_shard_chars).unwrap();
+        let a = split_1d(&inst, &config).unwrap();
+        let b = split_1d(&inst, &config).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.chars, y.chars);
             assert_eq!((x.start_row, x.rows), (y.start_row, y.rows));
@@ -1042,58 +958,6 @@ mod tests {
         assert!(
             matches!(err, EngineError::NoPlan { .. }),
             "expected NoPlan, got {err}"
-        );
-    }
-
-    /// Adaptive shard targets track measured throughput: a slower inner
-    /// portfolio (per the selection model) means smaller shards — more of
-    /// them — so the quality member of each shard's race can finish within
-    /// the window.
-    #[test]
-    fn adaptive_target_tracks_throughput_and_window() {
-        use crate::select::SelectionModel;
-        use crate::StrategyReport;
-        let inner = Portfolio::of_names(["eblow1d", "rowheur1d", "greedy1d"]).unwrap();
-        let model = SelectionModel::new();
-        let window = Duration::from_secs(3);
-        let cold = adaptive_target_chars(&inner, &model, window, 2000);
-        assert!(cold >= ADAPTIVE_TARGET_FLOOR);
-        // A longer window allows bigger shards.
-        let longer = adaptive_target_chars(&inner, &model, window * 4, 2000);
-        assert!(longer > cold, "{longer} vs {cold}");
-        // Teach the model that the slowest member is much slower than its
-        // prior: targets shrink (more shards).
-        let mut slow = SelectionModel::new();
-        let features = eblow_model::InstanceFeatures::of(&small_1d());
-        for _ in 0..50 {
-            slow.observe(
-                &features,
-                &[StrategyReport {
-                    name: "eblow1d@combinatorial",
-                    status: crate::StrategyStatus::Completed,
-                    cancelled: false,
-                    total_time: Some(1000),
-                    elapsed: Duration::from_secs(2),
-                }],
-            );
-        }
-        let learned = adaptive_target_chars(&inner, &slow, window, 2000);
-        assert!(learned < cold, "{learned} vs {cold}");
-
-        // Unlimited budgets keep the fixed target (reproducible splits).
-        let config = ShardConfig::default();
-        assert_eq!(
-            resolve_target_chars(&inner, &config, &Budget::unlimited()),
-            config.target_shard_chars
-        );
-        // Disabled adaptivity keeps the fixed target even under deadlines.
-        let fixed = ShardConfig {
-            adaptive: false,
-            ..ShardConfig::default()
-        };
-        assert_eq!(
-            resolve_target_chars(&inner, &fixed, &Budget::with_deadline(window)),
-            fixed.target_shard_chars
         );
     }
 

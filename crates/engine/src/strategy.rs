@@ -238,16 +238,6 @@ impl Strategy for RowHeuristic1dStrategy {
     }
 }
 
-/// Default candidate cap of the exact 1D ILP strategy (Table 5 scale; the
-/// paper's GUROBI already needs 1510 s at 12 characters). Referenced by
-/// the selection model's priors so the feature-predicted gate and the
-/// `supports()` gate cannot drift apart.
-pub const ILP1D_DEFAULT_MAX_CHARS: usize = 14;
-
-/// Default candidate cap of the exact 2D ILP strategy (see
-/// [`ILP1D_DEFAULT_MAX_CHARS`]).
-pub const ILP2D_DEFAULT_MAX_CHARS: usize = 10;
-
 /// The exact 1D ILP (formulation (3)) via branch-and-bound. Only supports
 /// small instances (Table 5 scale) — the binary count grows quadratically.
 #[derive(Debug, Clone, Copy)]
@@ -259,9 +249,7 @@ pub struct ExactIlp1dStrategy {
 
 impl Default for ExactIlp1dStrategy {
     fn default() -> Self {
-        ExactIlp1dStrategy {
-            max_chars: ILP1D_DEFAULT_MAX_CHARS,
-        }
+        ExactIlp1dStrategy { max_chars: 14 }
     }
 }
 
@@ -300,7 +288,11 @@ impl Strategy for ExactIlp1dStrategy {
         // `Optimal` means branch-and-bound ran to exhaustion, not to its
         // time limit: the incumbent is a certificate, and the race can
         // stop as soon as it validates (optimality-aware early exit).
-        .with_proven_optimal(out.status == MilpStatus::Optimal))
+        // `Feasible` means a limit — usually the race deadline, which
+        // `ilp_time_limit` clamps to — cut the search short, so the plan
+        // is degraded even though the race's stop flag never fired.
+        .with_proven_optimal(out.status == MilpStatus::Optimal)
+        .with_degraded(out.status == MilpStatus::Feasible))
     }
 }
 
@@ -378,9 +370,7 @@ pub struct ExactIlp2dStrategy {
 
 impl Default for ExactIlp2dStrategy {
     fn default() -> Self {
-        ExactIlp2dStrategy {
-            max_chars: ILP2D_DEFAULT_MAX_CHARS,
-        }
+        ExactIlp2dStrategy { max_chars: 10 }
     }
 }
 
@@ -415,7 +405,8 @@ impl Strategy for ExactIlp2dStrategy {
                 elapsed: out.elapsed,
             },
         )
-        .with_proven_optimal(out.status == MilpStatus::Optimal))
+        .with_proven_optimal(out.status == MilpStatus::Optimal)
+        .with_degraded(out.status == MilpStatus::Feasible))
     }
 }
 

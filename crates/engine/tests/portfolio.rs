@@ -305,3 +305,24 @@ fn second_plan_batch_hits_the_cache() {
         );
     }
 }
+
+/// An exact ILP that the race deadline cuts short returns `Feasible` just
+/// before the stop flag fires (its time limit is clamped to the remaining
+/// window). That plan is deadline-degraded even though the flag never
+/// fired, so the race must not count as complete — or the planner would
+/// cache it.
+#[test]
+fn deadline_limited_exact_ilp_is_reported_degraded() {
+    let inst = eblow_gen::benchmark(eblow_gen::Family::T1(5));
+    let portfolio = Portfolio::of_names(["ilp1d"]).unwrap();
+    let config = PortfolioConfig {
+        deadline: Some(Duration::from_millis(200)),
+        ..Default::default()
+    };
+    let outcome = portfolio.run(&inst, &config);
+    let best = outcome.best.as_ref().expect("ilp1d keeps its incumbent");
+    best.validate(&inst).unwrap();
+    assert!(!best.proven_optimal, "200 ms cannot prove 1T-5");
+    assert!(outcome.reports[0].cancelled, "{}", outcome.reports[0]);
+    assert!(!outcome.complete(), "a deadline-limited search is degraded");
+}

@@ -28,15 +28,6 @@
 //!                                   failing the process if the stitched
 //!                                   plan is worse than the monolithic
 //!                                   race's or misses the deadline margin
-//! eblow-eval select [--deadline-s N] [--case NAME] [--k N] [--stats PATH]
-//!                   [--assert-no-worse-than-full-zoo]
-//!                                   feature-driven top-k strategy selection
-//!                                   vs the full registry zoo under equal
-//!                                   deadlines (k is clamped to half the
-//!                                   registry); optionally failing the
-//!                                   process if the selected subset falls
-//!                                   below 0.99x full-zoo writing-time
-//!                                   quality
 //! eblow-eval bench [--deadline-s N] [--out PATH] [--case NAME] [--rev LABEL]
 //!                                   races the engine on the 1T/1M/1H/2H
 //!                                   case families (3 s deadline each by
@@ -61,9 +52,9 @@
 //!                                   self-validates the Chrome artifact
 //!                                   (well-formed JSON, non-empty span per
 //!                                   raced strategy)
-//! eblow-eval all [--ilp-limit-s N]  everything above except shard/select/
-//!                                   bench (the huge cases are not part of
-//!                                   the paper's suite)
+//! eblow-eval all [--ilp-limit-s N]  everything above except shard/bench/
+//!                                   bench-diff/trace (the huge cases are
+//!                                   not part of the paper's suite)
 //! ```
 //!
 //! Tables 3 and 4 run every method through the `eblow-engine` strategy
@@ -72,20 +63,21 @@
 
 #![forbid(unsafe_code)]
 
+mod json;
+
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
 use eblow_core::oned::{
     CombinatorialOracle, Eblow1d, Eblow1dConfig, LpOracle, MkpItem, RowBase, SimplexOracle,
 };
 use eblow_core::twod::Eblow2d;
-use eblow_engine::select::{json_parse, JsonValue};
 use eblow_engine::{
-    strategy_by_name, write_text_atomic, Budget, Portfolio, PortfolioConfig, SelectionModel,
-    Selector, StrategyStatus,
+    strategy_by_name, write_text_atomic, Budget, Portfolio, PortfolioConfig, StrategyStatus,
 };
 use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
 use eblow_trace::export::json_escape;
+use json::Value as JsonValue;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -398,105 +390,6 @@ fn shard_cmd(
     }
 }
 
-/// Compares feature-driven top-k strategy selection against the full
-/// registry zoo under equal deadlines.
-///
-/// The selector scores every registered strategy for each case's
-/// `InstanceFeatures` (throughput/quality model, priors unless `--stats`
-/// points at a learned file) and races only the top-k shortlist — the
-/// production path of a selecting `Planner`. `--assert-no-worse-than-full-zoo`
-/// turns the comparison into a CI gate: the selected subset must reach at
-/// least 0.99x the full zoo's writing-time quality on every case run.
-fn select_cmd(
-    deadline: Duration,
-    case: Option<&str>,
-    k_arg: Option<usize>,
-    stats: Option<&str>,
-    assert_no_worse: bool,
-) {
-    let registry = Portfolio::all_builtin();
-    let half = (registry.strategies().len() / 2).max(1);
-    let k = k_arg.unwrap_or(half).clamp(1, half);
-    println!();
-    println!(
-        "== Feature-driven selection vs full zoo (top-{k} of {} strategies, deadline {:.1}s) ==",
-        registry.strategies().len(),
-        deadline.as_secs_f64()
-    );
-    let mut selector = Selector::with_model(SelectionModel::new(), k);
-    if let Some(path) = stats {
-        selector = selector.with_stats_path(path);
-    }
-    let config = PortfolioConfig {
-        deadline: Some(deadline),
-        ..Default::default()
-    };
-    let mut ran = 0usize;
-    let mut failed = false;
-    let suites = table3_suite()
-        .into_iter()
-        .chain(table4_suite())
-        .filter(|(name, _)| case.is_none_or(|c| c == name));
-    for (name, inst) in suites {
-        ran += 1;
-        let selected = selector.race(&registry, &inst, &config);
-        let full = registry.run(&inst, &config);
-        let Some(sel_best) = &selected.outcome.best else {
-            eprintln!("FAIL: {name}: selected shortlist produced no valid plan");
-            failed = true;
-            continue;
-        };
-        sel_best
-            .validate(&inst)
-            .unwrap_or_else(|e| panic!("{name}: selected plan invalid: {e}"));
-        let (full_t, quality) = match &full.best {
-            Some(b) => (
-                b.total_time.to_string(),
-                Some(b.total_time as f64 / sel_best.total_time.max(1) as f64),
-            ),
-            None => ("NA".into(), None),
-        };
-        println!(
-            "{:6} | {:>10} {:>8.3}s | {:>10} {:>8.3}s | quality {:>6} | {}{:?}",
-            name,
-            sel_best.total_time,
-            selected.outcome.elapsed.as_secs_f64(),
-            full_t,
-            full.elapsed.as_secs_f64(),
-            quality.map_or("-".into(), |q| format!("{q:.3}")),
-            if selected.fell_back { "fallback " } else { "" },
-            selected.shortlist,
-        );
-        if assert_no_worse {
-            match quality {
-                Some(q) if q < 0.99 => {
-                    eprintln!(
-                        "FAIL: {name}: selected T_total {} below 0.99x full-zoo quality ({})",
-                        sel_best.total_time, full_t
-                    );
-                    failed = true;
-                }
-                Some(_) => {}
-                // The gate is defined against the full zoo; a missing
-                // baseline must not make it vacuous.
-                None => {
-                    eprintln!("FAIL: {name}: full zoo produced no plan to compare against");
-                    failed = true;
-                }
-            }
-        }
-    }
-    if let Some(c) = case {
-        if ran == 0 {
-            eprintln!("FAIL: unknown case {c:?}");
-            std::process::exit(2);
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
 /// The source revision for benchmark artifacts: `GITHUB_SHA` in CI, the
 /// local git HEAD otherwise, `"local"` as the last resort.
 fn revision() -> String {
@@ -729,7 +622,7 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
 
     // Self-validation: the artifact CI uploads must actually load in a
     // trace viewer, and every raced strategy must have left a swim-lane.
-    let root = json_parse(&chrome).unwrap_or_else(|e| {
+    let root = json::parse(&chrome).unwrap_or_else(|e| {
         eprintln!("FAIL: {}: not valid JSON: {e}", chrome_path.display());
         std::process::exit(1);
     });
@@ -798,7 +691,7 @@ struct BenchArtifact {
 /// both, so old baselines stay comparable).
 fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let root = json_parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let root = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     match root.get("schema").and_then(JsonValue::as_str) {
         Some("eblow-bench/1" | "eblow-bench/2") => {}
         other => {
@@ -1192,17 +1085,6 @@ fn main() {
     let assert_no_worse = args
         .iter()
         .any(|a| a == "--assert-no-worse-than-monolithic");
-    let assert_no_worse_zoo = args.iter().any(|a| a == "--assert-no-worse-than-full-zoo");
-    let k_arg = args
-        .iter()
-        .position(|a| a == "--k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let stats = args
-        .iter()
-        .position(|a| a == "--stats")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -1235,7 +1117,6 @@ fn main() {
         "portfolio" => portfolio(deadline, case, assert_within),
         "agree" => agree(tol_rel),
         "shard" => shard_cmd(deadline, case, assert_no_worse, assert_within),
-        "select" => select_cmd(deadline, case, k_arg, stats, assert_no_worse_zoo),
         // Trajectory artifacts default to a tight per-case deadline — the
         // point is comparable wall-clocks across revisions, not exhaustive
         // solves.
@@ -1276,10 +1157,9 @@ fn main() {
         other => {
             eprintln!("unknown command {other:?}");
             eprintln!(
-                "usage: eblow-eval [table3|table4|table5|fig5|fig6|fig11|fig12|portfolio|agree|shard|select|bench|bench-diff|trace|all] \
+                "usage: eblow-eval [table3|table4|table5|fig5|fig6|fig11|fig12|portfolio|agree|shard|bench|bench-diff|trace|all] \
                  [--ilp-limit-s N] [--deadline-s N] [--case NAME] [--assert-within-ms N] [--tol-rel X] \
-                 [--assert-no-worse-than-monolithic] [--assert-no-worse-than-full-zoo] \
-                 [--k N] [--stats PATH] [--out PATH] [--out-dir DIR] [--rev LABEL] [--max-regress-pct N]"
+                 [--assert-no-worse-than-monolithic] [--out PATH] [--out-dir DIR] [--rev LABEL] [--max-regress-pct N]"
             );
             std::process::exit(2);
         }

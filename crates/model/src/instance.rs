@@ -129,9 +129,8 @@ pub struct SparseRepeat {
 /// * `vsb_time(c) == Σ_i t_ic · n_i`.
 ///
 /// All dense accessors return values identical to the pre-slab
-/// `Vec<Vec<u64>>` layout, and [`InstanceDigest`](crate::InstanceDigest) /
-/// [`InstanceFeatures`](crate::InstanceFeatures) are bit-exactly unchanged
-/// by the layout — cache keys and selection statistics survive the swap.
+/// `Vec<Vec<u64>>` layout, and [`InstanceDigest`](crate::InstanceDigest) is
+/// bit-exactly unchanged by the layout — cache keys survive the swap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     stencil: Stencil,

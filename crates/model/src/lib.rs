@@ -47,7 +47,6 @@
 mod character;
 mod digest;
 mod error;
-mod features;
 mod instance;
 pub mod io;
 pub mod overlap;
@@ -60,7 +59,6 @@ pub mod simulate;
 pub use character::{Blanks, CharId, Character};
 pub use digest::{Fnv64, InstanceDigest};
 pub use error::ModelError;
-pub use features::InstanceFeatures;
 pub use instance::{Instance, SparseRepeat, Stencil};
 pub use placement1d::{Placement1d, Row};
 pub use placement2d::{PlacedChar, Placement2d};

