@@ -98,7 +98,8 @@ fn well_formed_name(name: &str, require_dot: bool) -> bool {
 /// trace-name-registry: every literal trace name must be well-formed
 /// (`area.noun`; bare lane names allowed for spans only), registered at
 /// most once per counter/histogram kind, never as both a counter and a
-/// histogram, and present (backticked) in the README Observability table.
+/// histogram, and present (backticked) in the README Observability table —
+/// which in turn may backtick only glossary names.
 fn trace_name_registry(ws: &WorkspaceModel, ctx: &AuditContext, out: &mut Vec<Finding>) {
     // Naming + conflicting/duplicate registrations, per site.
     let mut registrations: std::collections::BTreeMap<&str, Vec<(&str, u32, TraceKind)>> =
@@ -162,10 +163,25 @@ fn trace_name_registry(ws: &WorkspaceModel, ctx: &AuditContext, out: &mut Vec<Fi
             });
         }
     }
-    // README drift: every glossary name must appear backticked in the
-    // Observability documentation.
+    // README drift, both ways: every glossary name must appear backticked
+    // in the Observability documentation, and every backticked name in the
+    // Observability table must be a glossary name.
     if let Some(readme) = &ctx.readme {
-        for (name, entry) in glossary(ws) {
+        let names = glossary(ws);
+        for (name, line) in observability_table_names(readme) {
+            if !names.contains_key(name) {
+                out.push(Finding {
+                    rule: "trace-name-registry",
+                    file: "README.md".to_string(),
+                    line,
+                    message: format!(
+                        "the README Observability table documents `{name}`, but no trace \
+                         site registers that name — drop or rename the stale entry"
+                    ),
+                });
+            }
+        }
+        for (name, entry) in names {
             if !readme.contains(&format!("`{name}`")) {
                 let (file, line) = &entry.sites[0];
                 out.push(Finding {
@@ -181,6 +197,28 @@ fn trace_name_registry(ws: &WorkspaceModel, ctx: &AuditContext, out: &mut Vec<Fi
             }
         }
     }
+}
+
+/// Backticked tokens in the README Observability table — the `|` rows of
+/// the `## Observability` section — with their 1-based README line.
+fn observability_table_names(readme: &str) -> Vec<(&str, u32)> {
+    let mut in_section = false;
+    let mut out = Vec::new();
+    for (idx, line) in readme.lines().enumerate() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            in_section = heading.starts_with("Observability");
+            continue;
+        }
+        if in_section && line.trim_start().starts_with('|') {
+            out.extend(
+                line.split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .map(|name| (name, idx as u32 + 1)),
+            );
+        }
+    }
+    out
 }
 
 /// hot-loop-allocation: no allocation-shaped expressions (`Vec::new`,

@@ -39,8 +39,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "determinism",
         summary: "wall-clock or randomness in digest/persistence paths",
-        rationale: "`InstanceDigest` keys the plan cache; any nondeterminism (clocks, RNG, \
-                    hash-order iteration) silently poisons cache keys and persisted instances",
+        rationale: "`InstanceDigest` pins golden outputs; any nondeterminism (clocks, RNG, \
+                    hash-order iteration) silently breaks digests and persisted instances",
     },
     RuleInfo {
         id: "allow-justification",
@@ -414,8 +414,8 @@ fn determinism(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                 file: rel.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{s}` in a digest/persistence path — these outputs key caches and \
-                     persisted instances and must be bit-stable{}",
+                    "`{s}` in a digest/persistence path — these outputs pin golden digests \
+                     and persisted instances and must be bit-stable{}",
                     if hashed {
                         " (use BTreeMap/BTreeSet for deterministic iteration)"
                     } else {

@@ -224,6 +224,41 @@ fn trace_name_registry_fires_once_and_suppresses() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+/// The README drift check runs both ways: besides an undocumented trace
+/// name, a backticked Observability table entry that no trace site
+/// registers is a finding at its README line.
+#[test]
+fn trace_name_registry_checks_the_readme_table_both_ways() {
+    let src = "static RUNS: trace::Counter = trace::Counter::new(\"race.runs\");\n\
+               fn race() { let _span = trace::span(\"race\"); }\n";
+    let files = [("crates/engine/src/portfolio.rs", src)];
+    let readme = fixture("trace_name_registry_readme.md");
+    let ctx = |readme: String| AuditContext {
+        readme: Some(readme),
+        hotpaths: vec![],
+    };
+
+    // The stale `planner.cache.hit` row is the one finding.
+    let f = ws_scan(&files, &ctx(readme.clone()));
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].rule, "trace-name-registry");
+    assert_eq!((f[0].file.as_str(), f[0].line), ("README.md", 8));
+    assert!(
+        f[0].message.contains("`planner.cache.hit`"),
+        "{}",
+        f[0].message
+    );
+
+    // Dropping the stale row leaves the table clean.
+    let fixed: String = readme
+        .lines()
+        .filter(|l| !l.contains("planner.cache.hit"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let f = ws_scan(&files, &ctx(fixed));
+    assert!(f.is_empty(), "{f:?}");
+}
+
 #[test]
 fn hot_loop_allocation_fires_once_and_suppresses() {
     let ctx = AuditContext {

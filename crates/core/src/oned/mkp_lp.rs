@@ -131,7 +131,8 @@ impl LpHint {
 
     /// Fills `out` with the positive-profit item indices in density order,
     /// seeding the sort with the carried order. Output is identical to the
-    /// cold [`density_order`]; only the sorting cost changes.
+    /// cold `density_order` the tests pin it against; only the sorting cost
+    /// changes.
     fn seeded_density_order(&mut self, items: &[MkpItem], out: &mut Vec<usize>) {
         self.densities.clear();
         self.densities.extend(
@@ -189,13 +190,14 @@ impl LpHint {
 
 /// Positive-profit item indices in density order (profit per effective µm,
 /// descending; ties break by `char_index`) — the fill order of the greedy
-/// vertex and the run order [`ScaledOracle`](super::ScaledOracle) coarsens
-/// by, kept in one place so the two can never drift apart.
+/// vertex, computed cold. The reference the seeded sort of
+/// [`LpHint`] is checked against.
 ///
 /// `total_cmp` (not `partial_cmp().unwrap()`) keeps the sort panic-free
 /// even for hostile non-finite profits; NaN profits fail the `> 0.0`
 /// filter and never enter the order at all.
-pub(crate) fn density_order(items: &[MkpItem]) -> Vec<usize> {
+#[cfg(test)]
+fn density_order(items: &[MkpItem]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..items.len())
         .filter(|&k| items[k].profit > 0.0)
         .collect();
@@ -328,7 +330,7 @@ pub fn solve_mkp_lp_warm(
 
 /// Assembles an [`MkpLpSolution`] from raw per-item fractions: recomputes
 /// the derived fields (`max_frac`, `argmax_row`, `objective`). Shared with
-/// the other LP oracle backends so every backend derives the invariant
+/// the simplex LP oracle backend so both backends derive the invariant
 /// fields identically.
 pub(crate) fn finish(
     items: &[MkpItem],
@@ -535,7 +537,12 @@ mod tests {
         let mut base = vec![RowBase::default(); 4];
         let mut hint = LpHint::default();
         for round in 0..6 {
+            let reference: Vec<usize> = density_order(&items)
+                .into_iter()
+                .map(|k| items[k].char_index)
+                .collect();
             let warm = solve_mkp_lp_warm(&items, &base, 150, &mut hint);
+            assert_eq!(hint.order(), &reference[..], "round {round}: seeded sort");
             let cold = solve_mkp_lp(&items, &base, 150);
             assert_eq!(warm.fracs, cold.fracs, "round {round}");
             assert_eq!(warm.blanks, cold.blanks, "round {round}");

@@ -10,7 +10,7 @@
 //! solvers — can be raced and cross-checked against the combinatorial
 //! solve.
 //!
-//! Three backends ship today:
+//! Two backends ship today:
 //!
 //! * [`CombinatorialOracle`] — the default: density-greedy multiple-knapsack
 //!   fill inside a `B_j` fixed point (exact for formulation (5), the paper's
@@ -20,11 +20,6 @@
 //!   two-phase simplex. Exact for (4), but the tableau is dense in
 //!   `items × rows`, so it refuses instances above a cell cutoff with an
 //!   explicit [`OracleError::TooLarge`].
-//! * [`ScaledOracle`] — a wrapper that coarsens the width axis of huge
-//!   instances (density-ordered runs of items are merged into super-items of
-//!   summed width) before delegating, then expands the coarse fractions back
-//!   onto the original items and repairs row feasibility. This keeps a
-//!   size-limited inner backend usable far beyond its cutoff.
 //!
 //! Successive rounding solves a *shrinking sequence* of LPs, so the trait
 //! also exposes [`LpOracle::solve_lp_warm`]: an
@@ -32,7 +27,7 @@
 //! solution, cheaper solve". The combinatorial backend seeds its density
 //! sort with the previous iteration's order (adaptive sorting makes the
 //! nearly-sorted case ~linear) and records its `B_j` fixed point; the
-//! simplex and scaled backends fall back to the cold solve.
+//! simplex backend falls back to the cold solve.
 //!
 //! ## Backend agreement
 //!
@@ -183,8 +178,7 @@ impl LpOracle for CombinatorialOracle {
 ///
 /// The tableau is dense in `items × rows`, so instances above
 /// [`SimplexOracle::max_cells`] are refused with
-/// [`OracleError::TooLarge`] — wrap in a [`ScaledOracle`] (or use the
-/// combinatorial backend) beyond that.
+/// [`OracleError::TooLarge`] — use the combinatorial backend beyond that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplexOracle {
     /// Maximum `items × rows` cells accepted (default 2 500: ≈ milliseconds
@@ -327,150 +321,6 @@ impl LpOracle for SimplexOracle {
     }
 }
 
-/// Width-coarsening wrapper: merges density-ordered runs of items into
-/// super-items of summed effective width (blank: the run maximum; profit:
-/// the run sum) until at most `max_items` remain, delegates the coarse
-/// instance to the inner backend, then expands the coarse fractions back
-/// onto the original items in density order and repairs row feasibility
-/// under the true (finer) blanks.
-///
-/// Coarsening is conservative — super-item blanks upper-bound their
-/// members' — so the expanded solution is feasible up to rounding; the
-/// repair pass clips the rare overflow. The price is optimality: a
-/// super-item is filled as a unit, so the coarse LP cannot split a run at
-/// the exact profit-maximal boundary. Use it to push a size-limited backend
-/// (the dense simplex) to instances far beyond its cutoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaledOracle<O> {
-    inner: O,
-    /// Coarsen whenever the item count exceeds this (default 64).
-    pub max_items: usize,
-}
-
-impl<O: LpOracle> ScaledOracle<O> {
-    /// Wraps `inner`, coarsening instances with more than `max_items` items.
-    pub fn new(inner: O, max_items: usize) -> Self {
-        ScaledOracle {
-            inner,
-            max_items: max_items.max(1),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl Default for ScaledOracle<SimplexOracle> {
-    fn default() -> Self {
-        ScaledOracle::new(SimplexOracle::default(), 64)
-    }
-}
-
-impl<O: LpOracle> LpOracle for ScaledOracle<O> {
-    fn name(&self) -> &'static str {
-        "scaled"
-    }
-
-    // No cutoff: coarsening bounds what the inner backend sees. (The inner
-    // cutoff can still trip when the *row* count alone is huge; that error
-    // propagates.)
-
-    // audit:allow(stop-flag-reachability): one coarsen+expand pass, O(items); the convergence loop around the oracle polls the flag
-    fn solve_lp(
-        &self,
-        items: &[MkpItem],
-        base: &[RowBase],
-        stencil_w: u64,
-    ) -> Result<MkpLpSolution, OracleError> {
-        if items.len() <= self.max_items {
-            return self.inner.solve_lp(items, base, stencil_w);
-        }
-
-        // The shared density order: runs coarsen along exactly the fill
-        // order the combinatorial vertex uses, so expansion stays aligned
-        // with the inner solve.
-        let order = super::mkp_lp::density_order(items);
-        if order.is_empty() {
-            return Ok(empty_solution(items, base));
-        }
-
-        // Merge consecutive runs into at most `max_items` super-items.
-        let run_len = order.len().div_ceil(self.max_items);
-        let runs: Vec<&[usize]> = order.chunks(run_len).collect();
-        let coarse: Vec<MkpItem> = runs
-            .iter()
-            .enumerate()
-            .map(|(g, run)| MkpItem {
-                char_index: g,
-                eff_width: run.iter().map(|&k| items[k].eff_width.max(1)).sum(),
-                blank: run.iter().map(|&k| items[k].blank).max().unwrap_or(0),
-                profit: run.iter().map(|&k| items[k].profit).sum(),
-            })
-            .collect();
-        let coarse_sol = self.inner.solve_lp(&coarse, base, stencil_w)?;
-
-        // Expand: each super-item's per-row capacity share is refilled with
-        // its members in density order.
-        let mut fracs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); items.len()];
-        for (g, run) in runs.iter().enumerate() {
-            let gw = coarse[g].eff_width.max(1) as f64;
-            let mut member = 0usize;
-            let mut remaining = 1.0f64;
-            for &(j, f) in &coarse_sol.fracs[g] {
-                let mut room = f * gw;
-                while room > 1e-9 && member < run.len() {
-                    let k = run[member];
-                    let w = items[k].eff_width.max(1) as f64;
-                    let take = remaining.min(room / w);
-                    if take > 1e-12 {
-                        fracs[k].push((j, take));
-                        room -= take * w;
-                        remaining -= take;
-                    }
-                    if remaining <= 1e-12 {
-                        member += 1;
-                        remaining = 1.0;
-                    } else {
-                        break; // row share exhausted; next (j, f)
-                    }
-                }
-            }
-        }
-
-        // Repair: recompute blanks from the *actual* assigned members, then
-        // clip any row whose load exceeds its capacity under those blanks.
-        let mut blanks: Vec<u64> = base.iter().map(|b| b.max_blank).collect();
-        let mut load = vec![0.0f64; base.len()];
-        for (k, fr) in fracs.iter().enumerate() {
-            for &(j, f) in fr {
-                blanks[j] = blanks[j].max(items[k].blank);
-                load[j] += f * items[k].eff_width.max(1) as f64;
-            }
-        }
-        for j in 0..base.len() {
-            let cap = stencil_w.saturating_sub(base[j].eff_used + blanks[j]) as f64;
-            if load[j] > cap + 1e-9 {
-                let scale = if load[j] > 0.0 {
-                    (cap / load[j]).max(0.0)
-                } else {
-                    0.0
-                };
-                for fr in fracs.iter_mut() {
-                    for t in fr.iter_mut().filter(|t| t.0 == j) {
-                        t.1 *= scale;
-                    }
-                }
-            }
-        }
-        for fr in fracs.iter_mut() {
-            fr.retain(|&(_, f)| f > 1e-12);
-        }
-        Ok(super::mkp_lp::finish(items, fracs, blanks))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,52 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn scaled_oracle_delegates_small_instances() {
-        let items: Vec<MkpItem> = (0..8).map(|i| item(i, 20, 3, 10.0 + i as f64)).collect();
-        let base = vec![RowBase::default(); 2];
-        let direct = SimplexOracle::default()
-            .solve_lp(&items, &base, 100)
-            .unwrap();
-        let scaled = ScaledOracle::new(SimplexOracle::default(), 64)
-            .solve_lp(&items, &base, 100)
-            .unwrap();
-        assert!((direct.objective - scaled.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaled_oracle_coarsens_and_stays_feasible() {
-        // 200 items through a 16-super-item coarsening: the expansion must
-        // stay row-feasible and capture most of the uncoarsened value.
-        let items: Vec<MkpItem> = (0..200)
-            .map(|i| {
-                item(
-                    i,
-                    8 + (i as u64 * 5) % 30,
-                    1 + (i as u64) % 7,
-                    1.0 + (i as f64 * 17.0) % 50.0,
-                )
-            })
-            .collect();
-        let base = vec![RowBase::default(); 4];
-        let w = 300u64;
-        let scaled = ScaledOracle::new(CombinatorialOracle, 16)
-            .solve_lp(&items, &base, w)
-            .unwrap();
-        let full = CombinatorialOracle.solve_lp(&items, &base, w).unwrap();
-        assert!(feasible(&items, &base, w, &scaled));
-        assert!(
-            scaled.objective >= 0.8 * full.objective,
-            "coarse {} lost too much vs full {}",
-            scaled.objective,
-            full.objective
-        );
-    }
-
-    #[test]
     fn oracle_names_and_errors_display() {
         assert_eq!(CombinatorialOracle.name(), "combinatorial");
         assert_eq!(SimplexOracle::default().name(), "simplex");
-        assert_eq!(ScaledOracle::<SimplexOracle>::default().name(), "scaled");
         assert!(CombinatorialOracle.max_cells().is_none());
         let msg = OracleError::TooLarge {
             cells: 10,

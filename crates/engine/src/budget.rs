@@ -5,6 +5,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Time cap for strategies that call the exact branch-and-bound ILP (which
+/// has its own internal time-limit protocol rather than a poll loop); the
+/// cap in force is this constant clamped to the remaining deadline
+/// ([`Budget::ilp_time_limit`]).
+const ILP_TIME_LIMIT: Duration = Duration::from_secs(10);
+
 /// The resource envelope one planning run (or one portfolio race) operates
 /// under.
 ///
@@ -21,10 +27,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct Budget {
     deadline: Option<Duration>,
-    /// Time cap for strategies that call the exact branch-and-bound ILP
-    /// (which has its own internal time-limit protocol rather than a poll
-    /// loop).
-    ilp_time_limit: Duration,
     started: Instant,
     stop: Arc<AtomicBool>,
 }
@@ -41,7 +43,6 @@ impl Budget {
     pub fn unlimited() -> Self {
         Budget {
             deadline: None,
-            ilp_time_limit: Duration::from_secs(10),
             started: Instant::now(),
             stop: Arc::new(AtomicBool::new(false)),
         }
@@ -53,13 +54,6 @@ impl Budget {
             deadline: Some(deadline),
             ..Budget::unlimited()
         }
-    }
-
-    /// Overrides the exact-ILP time cap (defaults to 10 s, further clamped
-    /// to the remaining deadline at call time).
-    pub fn with_ilp_time_limit(mut self, limit: Duration) -> Self {
-        self.ilp_time_limit = limit;
-        self
     }
 
     /// The instant this budget started ticking.
@@ -78,12 +72,12 @@ impl Budget {
             .map(|d| d.saturating_sub(self.started.elapsed()))
     }
 
-    /// The exact-ILP cap: the configured limit clamped to the remaining
+    /// The exact-ILP cap: the fixed 10 s limit clamped to the remaining
     /// deadline.
     pub fn ilp_time_limit(&self) -> Duration {
         match self.remaining() {
-            Some(rem) => self.ilp_time_limit.min(rem),
-            None => self.ilp_time_limit,
+            Some(rem) => ILP_TIME_LIMIT.min(rem),
+            None => ILP_TIME_LIMIT,
         }
     }
 
@@ -125,9 +119,10 @@ mod tests {
 
     #[test]
     fn remaining_counts_down_and_clamps_ilp_cap() {
-        let b = Budget::with_deadline(Duration::from_millis(50))
-            .with_ilp_time_limit(Duration::from_secs(60));
+        let b = Budget::with_deadline(Duration::from_millis(50));
         assert!(b.remaining().unwrap() <= Duration::from_millis(50));
+        // The 10 s constant is clamped by the 50 ms deadline.
+        assert!(ILP_TIME_LIMIT > Duration::from_millis(50));
         assert!(b.ilp_time_limit() <= Duration::from_millis(50));
         std::thread::sleep(Duration::from_millis(60));
         assert!(b.expired());
@@ -139,6 +134,6 @@ mod tests {
         let b = Budget::unlimited();
         assert_eq!(b.remaining(), None);
         assert!(!b.expired());
-        assert_eq!(b.ilp_time_limit(), Duration::from_secs(10));
+        assert_eq!(b.ilp_time_limit(), ILP_TIME_LIMIT);
     }
 }

@@ -16,9 +16,6 @@
 //!   deadline, validates every returned plan against the model, and picks
 //!   the minimum-writing-time valid plan. Per-strategy reports record who
 //!   finished, who was cancelled, and who won.
-//! * [`Planner`] — the batch front-end: shards a queue of instances across
-//!   a worker pool and serves repeated requests from an
-//!   [`InstanceDigest`](eblow_model::InstanceDigest)-keyed LRU plan cache.
 //! * [`shard`] — the composite `shard1d`/`shard2d` strategies for huge
 //!   instances: split into per-region / per-row-band sub-instances, race
 //!   each shard on the portfolio machinery in parallel, stitch the
@@ -29,16 +26,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use eblow_engine::{Planner, PortfolioConfig};
+//! use eblow_engine::{Portfolio, PortfolioConfig};
 //! use std::time::Duration;
 //!
 //! let instance = eblow_gen::generate(&eblow_gen::GenConfig::tiny_1d(7));
-//! let planner = Planner::portfolio()
-//!     .with_config(PortfolioConfig {
-//!         deadline: Some(Duration::from_secs(5)),
-//!         ..Default::default()
-//!     });
-//! let outcome = planner.plan(&instance);
+//! let config = PortfolioConfig {
+//!     deadline: Some(Duration::from_secs(5)),
+//! };
+//! let outcome = Portfolio::all_builtin().run(&instance, &config);
 //! let best = outcome.best.expect("some strategy produced a valid plan");
 //! println!("winner: {} at T_total = {}", best.strategy, best.total_time);
 //! for report in &outcome.reports {
@@ -50,17 +45,13 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod cache;
 mod outcome;
-mod planner;
 mod portfolio;
 pub mod shard;
 pub mod strategy;
 
 pub use budget::Budget;
-pub use cache::{write_text_atomic, CacheStats, LruCache, PlanCacheKey};
 pub use outcome::{EngineError, PlanDetail, PlanOutcome};
-pub use planner::{BatchResult, Planner};
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, StrategyReport, StrategyStatus};
 pub use shard::{Shard1dStrategy, Shard2dStrategy, ShardConfig};
-pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy, StrategyId};
+pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy};

@@ -81,8 +81,9 @@ pub struct PlanOutcome {
     /// down mid-run yields a weaker stitch; an exact ILP whose time limit
     /// (clamped to the deadline) stops the search before it proves
     /// optimality returns an unproven incumbent. The portfolio folds this
-    /// into its cancelled accounting so the plan cache's
-    /// never-cache-degraded-races rule sees through both.
+    /// into its cancelled accounting, so
+    /// [`PortfolioOutcome::complete`](crate::PortfolioOutcome::complete)
+    /// sees through both.
     pub degraded: bool,
     /// Whether the producing strategy *proved* this plan optimal (an exact
     /// ILP that ran to `MilpStatus::Optimal` rather than timing out with an

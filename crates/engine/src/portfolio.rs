@@ -19,24 +19,12 @@ static EARLY_EXITS: trace::Counter = trace::Counter::new("race.early_exit");
 static STRATEGY_MS: trace::Histogram = trace::Histogram::new("race.strategy_ms");
 
 /// Tunables of one portfolio race.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
     /// Wall-clock deadline for the whole race. When it passes, the shared
     /// stop flag is raised and every strategy finishes its best valid plan
     /// so far. `None` lets all strategies run to completion.
     pub deadline: Option<Duration>,
-    /// Time cap for the exact-ILP strategies' branch-and-bound (further
-    /// clamped to the remaining deadline).
-    pub ilp_time_limit: Duration,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            deadline: None,
-            ilp_time_limit: Duration::from_secs(10),
-        }
-    }
 }
 
 /// How one strategy's run ended.
@@ -83,13 +71,6 @@ pub struct StrategyReport {
     pub total_time: Option<u64>,
     /// Wall-clock time the strategy ran for.
     pub elapsed: Duration,
-}
-
-impl StrategyReport {
-    /// The structured (base + optional backend) view of [`Self::name`].
-    pub fn id(&self) -> crate::strategy::StrategyId<'static> {
-        crate::strategy::StrategyId::parse(self.name)
-    }
 }
 
 impl fmt::Display for StrategyReport {
@@ -149,8 +130,7 @@ impl PortfolioOutcome {
     /// degraded by the deadline, *or* the race early-exited on a
     /// proven-optimal plan (which no surviving strategy could have
     /// beaten). Only complete races represent the portfolio's
-    /// full-quality answer for an instance — the plan cache refuses to
-    /// store anything else.
+    /// full-quality answer for an instance.
     pub fn complete(&self) -> bool {
         self.early_exit || self.reports.iter().all(|r| !r.cancelled)
     }
@@ -186,23 +166,14 @@ impl Portfolio {
     ///
     /// # Errors
     ///
-    /// Returns the first unknown name. Names with a trailing `@` (an empty
-    /// backend parameter, e.g. `"eblow1d@"`) are rejected with an explicit
-    /// message rather than silently resolving to the bare base strategy —
-    /// the malformed name would otherwise leak into report labels and
-    /// plan-cache fingerprints as a distinct strategy.
+    /// Returns the first name [`strategy_by_name`](crate::strategy_by_name)
+    /// does not resolve.
     pub fn of_names<'n>(names: impl IntoIterator<Item = &'n str>) -> Result<Self, String> {
-        let mut strategies = Vec::new();
-        for name in names {
-            if name.ends_with('@') {
-                return Err(format!(
-                    "{name}: empty strategy backend (remove the trailing '@' or name a backend)"
-                ));
-            }
-            strategies
-                .push(crate::strategy::strategy_by_name(name).ok_or_else(|| name.to_string())?);
-        }
-        Ok(Portfolio::new(strategies))
+        names
+            .into_iter()
+            .map(|name| crate::strategy::strategy_by_name(name).ok_or_else(|| name.to_string()))
+            .collect::<Result<_, _>>()
+            .map(Portfolio::new)
     }
 
     /// The strategies in this portfolio.
@@ -211,8 +182,7 @@ impl Portfolio {
     }
 
     /// Registry names of the portfolio's strategies, in portfolio order
-    /// (the order that breaks race ties, fingerprints the plan cache, and
-    /// labels reports).
+    /// (the order that breaks race ties and labels reports).
     pub fn names(&self) -> Vec<&'static str> {
         self.strategies.iter().map(|s| s.name()).collect()
     }
@@ -230,8 +200,7 @@ impl Portfolio {
         let budget = match config.deadline {
             Some(d) => Budget::with_deadline(d),
             None => Budget::unlimited(),
-        }
-        .with_ilp_time_limit(config.ilp_time_limit);
+        };
         self.run_with_budget(instance, &budget)
     }
 
@@ -292,8 +261,7 @@ impl Portfolio {
                     // A composite strategy can be degraded by its *own*
                     // internal sub-deadlines without this race's budget
                     // ever firing; treat that exactly like a cancellation
-                    // so `complete()` (and therefore the plan cache's
-                    // never-cache-degraded rule) sees through it.
+                    // so `PortfolioOutcome::complete()` sees through it.
                     let cancelled = budget.is_cancelled()
                         || result.as_ref().is_ok_and(|outcome| outcome.degraded);
                     // A closed channel means the receiver gave up; nothing
@@ -451,18 +419,6 @@ mod tests {
         );
     }
 
-    /// Regression: a trailing `@` used to resolve like the bare base name
-    /// while keeping the malformed spelling in labels and cache keys.
-    #[test]
-    fn of_names_rejects_trailing_at_with_a_clear_error() {
-        let err = Portfolio::of_names(["eblow1d@"]).err().unwrap();
-        assert!(
-            err.contains("empty strategy backend"),
-            "error must explain the problem, got: {err}"
-        );
-        assert!(err.contains("eblow1d@"), "error must name the offender");
-    }
-
     /// When `supports()` filters out every strategy, the outcome must be
     /// distinguishable from a race that ran and found nothing.
     #[test]
@@ -506,8 +462,8 @@ mod tests {
 
     /// Regression: a composite's internal sub-deadline degradation must
     /// surface as a cancelled report even when this race's own budget
-    /// never fired — otherwise `complete()` holds and the plan cache pins
-    /// the degraded plan forever.
+    /// never fired — otherwise `complete()` would vouch for a degraded
+    /// plan as the portfolio's full-quality answer.
     #[test]
     fn internally_degraded_plans_mark_the_race_incomplete() {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(25));
@@ -515,7 +471,7 @@ mod tests {
         let outcome = portfolio.run(&inst, &PortfolioConfig::default());
         assert!(outcome.best.is_some(), "the degraded plan still serves");
         assert!(outcome.reports[0].cancelled);
-        assert!(!outcome.complete(), "degraded ⇒ not cacheable");
+        assert!(!outcome.complete(), "degraded ⇒ incomplete");
     }
 
     #[test]
@@ -523,7 +479,6 @@ mod tests {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(23));
         let config = PortfolioConfig {
             deadline: Some(Duration::from_millis(1)),
-            ..Default::default()
         };
         let outcome = Portfolio::all_builtin().run(&inst, &config);
         // Even with an immediate deadline every strategy must hand back a

@@ -15,14 +15,10 @@
 //! 2. the freed row space is refilled greedily with the most profitable
 //!    unplaced candidates (1D).
 //!
-//! The composite registers like any other strategy (`shard1d`, `shard2d`)
-//! and accepts an inner-strategy parameter (`shard1d@greedy1d`,
-//! `shard1d@eblow1d@simplex`, …) that reuses the [`StrategyId`] backend
-//! syntax — a size-limited inner backend such as the dense simplex can
-//! refuse the monolithic instance yet accept every shard, because
-//! `supports()` is re-evaluated per sub-instance.
-//!
-//! [`StrategyId`]: crate::strategy::StrategyId
+//! The composites register like any other strategy (`shard1d`, `shard2d`),
+//! each over a fixed inner portfolio. `supports()` is re-evaluated per
+//! sub-instance, so an inner member may refuse the monolithic instance yet
+//! race on every shard.
 
 use crate::budget::Budget;
 use crate::outcome::{EngineError, PlanDetail, PlanOutcome};
@@ -54,10 +50,8 @@ const MONO_REFINE_MIN_WINDOW: Duration = Duration::from_millis(100);
 /// Tunables of the shard composite strategies.
 ///
 /// The split is a deterministic function of the instance and this
-/// configuration, so the plan cache (which keys on the instance digest
-/// plus the strategy name) always refers to one well-defined shard split.
-/// Custom configurations must be registered under their own strategy
-/// name — see [`Shard1dStrategy::with_config`].
+/// configuration, so deadline-free shard plans are reproducible run over
+/// run.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// `supports()` gate: instances with fewer candidates are left to the
@@ -323,7 +317,9 @@ fn mono_refine_window_open(budget: &Budget) -> bool {
 /// minus the stitch reserve: shards race concurrently from t = 0, so
 /// slicing the window per shard would cancel small shards early while
 /// cores sit idle — and since a fired shard deadline marks the stitched
-/// plan degraded (uncacheable), every shard deserves the whole window and
+/// plan degraded (the race then fails
+/// [`PortfolioOutcome::complete`](crate::PortfolioOutcome::complete)),
+/// every shard deserves the whole window and
 /// degradation only means a shard genuinely ran out of time. The outer
 /// budget's stop flag is propagated to every shard budget by a 10 ms
 /// watchdog, so an engine-level cancellation tears the whole fan-out down
@@ -450,7 +446,6 @@ fn extract_all_1d(
 /// reconciliation and a greedy top-up of freed space.
 pub struct Shard1dStrategy {
     inner: Portfolio,
-    name: &'static str,
     config: ShardConfig,
 }
 
@@ -467,53 +462,24 @@ impl Shard1dStrategy {
     /// Inner strategies are constructed directly (not via the registry) so
     /// the registry can in turn contain `shard1d` without recursion.
     pub fn new() -> Self {
+        Shard1dStrategy::over(Portfolio::new(vec![
+            Arc::new(crate::strategy::Eblow1dStrategy::default()),
+            Arc::new(crate::strategy::RowHeuristic1dStrategy),
+            Arc::new(crate::strategy::Greedy1dStrategy),
+        ]))
+    }
+
+    /// A composite whose shards race `inner` instead of the default trio.
+    /// The quality member of the monolithic refinement lane is the first
+    /// `inner` member that supports the full instance.
+    pub(crate) fn over(inner: Portfolio) -> Self {
         Shard1dStrategy {
-            inner: Portfolio::new(vec![
-                Arc::new(crate::strategy::Eblow1dStrategy::default()),
-                Arc::new(crate::strategy::RowHeuristic1dStrategy),
-                Arc::new(crate::strategy::Greedy1dStrategy),
-            ]),
-            name: "shard1d",
+            inner,
             config: ShardConfig::default(),
         }
     }
 
-    /// A composite whose shards each run a single named inner strategy
-    /// (`shard1d@<inner>`). The inner name reuses the registry's
-    /// [`StrategyId`](crate::strategy::StrategyId) backend syntax, so
-    /// `shard1d@eblow1d@simplex` composes the shard split with the
-    /// size-limited simplex LP backend. Returns `None` for inner names
-    /// outside the supported table (the full name must be a static string
-    /// because it keys the plan cache).
-    pub fn with_inner(inner: &str) -> Option<Self> {
-        let name = match inner {
-            "greedy1d" => "shard1d@greedy1d",
-            "rowheur1d" => "shard1d@rowheur1d",
-            "heuristic1d" => "shard1d@heuristic1d",
-            // `eblow1d` is the historical alias of `eblow1d@combinatorial`;
-            // both spellings canonicalize to one registry name so report
-            // labels and plan-cache fingerprints cannot diverge for the
-            // identical composite.
-            "eblow1d" | "eblow1d@combinatorial" => "shard1d@eblow1d@combinatorial",
-            "eblow1d-0" => "shard1d@eblow1d-0",
-            "eblow1d@simplex" => "shard1d@eblow1d@simplex",
-            "eblow1d@scaled" => "shard1d@eblow1d@scaled",
-            _ => return None,
-        };
-        let strategy = crate::strategy::strategy_by_name(inner)?;
-        Some(Shard1dStrategy {
-            inner: Portfolio::new(vec![strategy]),
-            name,
-            config: ShardConfig::default(),
-        })
-    }
-
     /// Overrides the shard configuration.
-    ///
-    /// The strategy keeps its registry name, which is also its plan-cache
-    /// fingerprint component — callers running multiple configurations of
-    /// the same composite in one process must use separate [`crate::Planner`]
-    /// instances (or distinct portfolios) to keep cached plans apart.
     pub fn with_config(mut self, config: ShardConfig) -> Self {
         self.config = config;
         self
@@ -522,7 +488,7 @@ impl Shard1dStrategy {
 
 impl Strategy for Shard1dStrategy {
     fn name(&self) -> &'static str {
-        self.name
+        "shard1d"
     }
 
     fn supports(&self, instance: &Instance) -> bool {
@@ -532,14 +498,14 @@ impl Strategy for Shard1dStrategy {
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let started = Instant::now();
         let specs = split_1d(instance, &self.config).ok_or_else(|| EngineError::Unsupported {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!(
                 "instance not shardable (needs a row-structured stencil with ≥ 2 rows and ≥ {} candidates)",
                 self.config.min_chars
             ),
         })?;
         let subs = extract_all_1d(instance, &specs)?;
-        let _span = trace::span(self.name);
+        let _span = trace::span(self.name());
         trace::instant_with(
             "shard.split",
             subs.len() as i64,
@@ -568,15 +534,16 @@ impl Strategy for Shard1dStrategy {
         // No shard produced anything (every inner race unsupported or
         // torn down before finishing): report failure instead of passing
         // off an empty stitch (or a pure top-up fill) as a sharded plan —
-        // a do-nothing "success" would poison the digest-keyed plan cache.
+        // a do-nothing "success" would count as a completed member, and
+        // `PortfolioOutcome::complete()` would vouch for it.
         if parts.is_empty() {
             return Err(EngineError::NoPlan {
-                strategy: self.name,
+                strategy: self.name(),
                 reason: format!("no shard produced a plan ({} shards raced)", subs.len()),
             });
         }
         let stitched = stitch_1d(instance, &parts).map_err(|e| EngineError::NoPlan {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!("stitching failed: {e}"),
         })?;
         DUPLICATES_DROPPED.add(stitched.duplicates_dropped as u64);
@@ -629,7 +596,7 @@ impl Strategy for Shard1dStrategy {
                 }
             }
         }
-        Ok(PlanOutcome::from_1d(self.name, plan).with_degraded(degraded))
+        Ok(PlanOutcome::from_1d(self.name(), plan).with_degraded(degraded))
     }
 }
 
@@ -637,7 +604,6 @@ impl Strategy for Shard1dStrategy {
 /// round-robin by profit density, parallel inner races, stitch + validate.
 pub struct Shard2dStrategy {
     inner: Portfolio,
-    name: &'static str,
     config: ShardConfig,
 }
 
@@ -655,30 +621,11 @@ impl Shard2dStrategy {
                 Arc::new(crate::strategy::Eblow2dStrategy::default()),
                 Arc::new(crate::strategy::Greedy2dStrategy),
             ]),
-            name: "shard2d",
             config: ShardConfig::default(),
         }
     }
 
-    /// A composite whose shards each run a single named inner strategy
-    /// (`shard2d@<inner>`); see [`Shard1dStrategy::with_inner`].
-    pub fn with_inner(inner: &str) -> Option<Self> {
-        let name = match inner {
-            "greedy2d" => "shard2d@greedy2d",
-            "sa2d" => "shard2d@sa2d",
-            "eblow2d" => "shard2d@eblow2d",
-            _ => return None,
-        };
-        let strategy = crate::strategy::strategy_by_name(inner)?;
-        Some(Shard2dStrategy {
-            inner: Portfolio::new(vec![strategy]),
-            name,
-            config: ShardConfig::default(),
-        })
-    }
-
-    /// Overrides the shard configuration (see
-    /// [`Shard1dStrategy::with_config`] for the cache-name caveat).
+    /// Overrides the shard configuration.
     pub fn with_config(mut self, config: ShardConfig) -> Self {
         self.config = config;
         self
@@ -687,7 +634,7 @@ impl Shard2dStrategy {
 
 impl Strategy for Shard2dStrategy {
     fn name(&self) -> &'static str {
-        self.name
+        "shard2d"
     }
 
     fn supports(&self, instance: &Instance) -> bool {
@@ -697,7 +644,7 @@ impl Strategy for Shard2dStrategy {
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let started = Instant::now();
         let specs = split_2d(instance, &self.config).ok_or_else(|| EngineError::Unsupported {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!(
                 "instance not shardable (needs a free-form stencil ≥ 2 bands tall and ≥ {} candidates)",
                 self.config.min_chars
@@ -710,7 +657,7 @@ impl Strategy for Shard2dStrategy {
                     .map_err(EngineError::Model)
             })
             .collect::<Result<_, _>>()?;
-        let _span = trace::span(self.name);
+        let _span = trace::span(self.name());
         trace::instant_with(
             "shard.split",
             subs.len() as i64,
@@ -737,15 +684,16 @@ impl Strategy for Shard2dStrategy {
             })
             .collect();
         // Same rule as the 1D composite: an all-empty fan-out is a
-        // failure, not an empty "plan".
+        // failure, not an empty "plan" that `PortfolioOutcome::complete()`
+        // would vouch for.
         if parts.is_empty() {
             return Err(EngineError::NoPlan {
-                strategy: self.name,
+                strategy: self.name(),
                 reason: format!("no shard produced a plan ({} shards raced)", subs.len()),
             });
         }
         let stitched = stitch_2d(instance, &parts).map_err(|e| EngineError::NoPlan {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!("stitching failed: {e}"),
         })?;
         DUPLICATES_DROPPED.add(stitched.duplicates_dropped as u64);
@@ -787,7 +735,7 @@ impl Strategy for Shard2dStrategy {
                 }
             }
         }
-        Ok(PlanOutcome::from_2d(self.name, plan).with_degraded(degraded))
+        Ok(PlanOutcome::from_2d(self.name(), plan).with_degraded(degraded))
     }
 }
 
@@ -795,6 +743,11 @@ impl Strategy for Shard2dStrategy {
 mod tests {
     use super::*;
     use eblow_gen::GenConfig;
+
+    /// A 1D composite whose shards each race the single strategy `inner`.
+    fn shard1d_over(inner: impl Strategy + 'static) -> Shard1dStrategy {
+        Shard1dStrategy::over(Portfolio::new(vec![Arc::new(inner)]))
+    }
 
     fn test_config() -> ShardConfig {
         ShardConfig {
@@ -870,9 +823,7 @@ mod tests {
     #[test]
     fn shard1d_is_deterministic_without_deadline() {
         let inst = small_1d();
-        let strategy = Shard1dStrategy::with_inner("greedy1d")
-            .unwrap()
-            .with_config(test_config());
+        let strategy = shard1d_over(crate::strategy::Greedy1dStrategy).with_config(test_config());
         let a = strategy.plan(&inst, &Budget::unlimited()).unwrap();
         let b = strategy.plan(&inst, &Budget::unlimited()).unwrap();
         assert_eq!(a.total_time, b.total_time);
@@ -932,7 +883,7 @@ mod tests {
     /// Regression: when every shard race comes back empty (here: the
     /// simplex inner backend refuses every shard via its cell cutoff),
     /// the composite must fail loudly instead of returning an empty
-    /// "plan" that would poison the digest-keyed plan cache.
+    /// "plan" that `PortfolioOutcome::complete()` would vouch for.
     #[test]
     fn all_empty_shards_are_an_error_not_an_empty_plan() {
         // 600 chars over 26 rows: each of the 2 shards holds ~300 chars
@@ -945,9 +896,8 @@ mod tests {
             row_height: Some(40),
             ..GenConfig::tiny_1d(8)
         });
-        let strategy = Shard1dStrategy::with_inner("eblow1d@simplex")
-            .unwrap()
-            .with_config(ShardConfig {
+        let strategy =
+            shard1d_over(crate::strategy::Eblow1dStrategy::simplex()).with_config(ShardConfig {
                 min_chars: 64,
                 target_shard_chars: 300,
                 max_shards: 2,
@@ -959,6 +909,44 @@ mod tests {
             matches!(err, EngineError::NoPlan { .. }),
             "expected NoPlan, got {err}"
         );
+    }
+
+    /// The sharded composite must beat (or match) its own weakest inner
+    /// strategy run monolithically — the split + per-shard race + top-up may
+    /// not destroy quality relative to a single greedy pass.
+    #[test]
+    fn shard1d_matches_or_beats_monolithic_greedy() {
+        let config = ShardConfig {
+            min_chars: 64,
+            target_shard_chars: 32,
+            max_shards: 4,
+            ..ShardConfig::default()
+        };
+        for seed in [11u64, 12, 13] {
+            let inst = eblow_gen::generate(&GenConfig {
+                n_chars: 120,
+                n_regions: 4,
+                stencil_w: 400,
+                stencil_h: 240,
+                row_height: Some(40),
+                ..GenConfig::tiny_1d(seed)
+            });
+            let sharded = shard1d_over(crate::strategy::Greedy1dStrategy)
+                .with_config(config.clone())
+                .plan(&inst, &Budget::unlimited())
+                .unwrap();
+            sharded.validate(&inst).unwrap();
+            let mono = eblow_core::baselines::greedy_1d(&inst).unwrap();
+            // Not a strict dominance theorem — but on these balanced
+            // instances the shard split plus top-up reconciliation should
+            // never lose more than a few percent to the monolithic greedy.
+            assert!(
+                (sharded.total_time as f64) <= mono.total_time as f64 * 1.05,
+                "seed {seed}: sharded {} ≫ monolithic {}",
+                sharded.total_time,
+                mono.total_time
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every planner in the workspace — the E-BLOW 1D/2D flows, the exact
 //! branch-and-bound ILPs, and the greedy/heuristic baselines of the paper's
 //! Tables 3–5 — is wrapped behind one object-safe interface so the
-//! portfolio executor, the batch planner, and the eval harness can treat
-//! them interchangeably.
+//! portfolio executor and the eval harness can treat them
+//! interchangeably.
 
 use crate::budget::Budget;
 use crate::outcome::{EngineError, PlanOutcome};
@@ -13,70 +13,12 @@ use eblow_core::baselines::{
     sa_2d_with_stop, Heuristic1dConfig, Sa2dConfig,
 };
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
-use eblow_core::oned::{Eblow1d, Eblow1dConfig, ScaledOracle, SimplexOracle};
+use eblow_core::oned::{Eblow1d, Eblow1dConfig, SimplexOracle};
 use eblow_core::twod::{Eblow2d, Eblow2dConfig};
 use eblow_core::Plan1d;
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
-use std::fmt;
 use std::sync::Arc;
-
-/// A parsed strategy identifier: a registry base name plus an optional
-/// `@backend` parameter (e.g. `eblow1d@simplex`).
-///
-/// Registry names, report labels, and plan-cache portfolio fingerprints all
-/// use the *full* form, so two backends of the same pipeline are distinct
-/// strategies end to end; `StrategyId` gives callers the structured view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StrategyId<'a> {
-    base: &'a str,
-    backend: Option<&'a str>,
-}
-
-impl<'a> StrategyId<'a> {
-    /// Splits `name` at the first `@` into base and backend.
-    ///
-    /// An empty backend (`"eblow1d@"`) is treated as no backend at all:
-    /// `Some("")` would silently create a registry name and plan-cache
-    /// fingerprint distinct from the bare base, so a trailing `@`
-    /// normalizes to `backend: None` here (and is rejected outright by
-    /// [`strategy_by_name`] and `Portfolio::of_names`).
-    pub fn parse(name: &'a str) -> Self {
-        match name.split_once('@') {
-            Some((base, backend)) if !backend.is_empty() => StrategyId {
-                base,
-                backend: Some(backend),
-            },
-            Some((base, _)) => StrategyId {
-                base,
-                backend: None,
-            },
-            None => StrategyId {
-                base: name,
-                backend: None,
-            },
-        }
-    }
-
-    /// The pipeline part of the identifier (`eblow1d` in `eblow1d@simplex`).
-    pub fn base(&self) -> &'a str {
-        self.base
-    }
-
-    /// The backend parameter, when one is present.
-    pub fn backend(&self) -> Option<&'a str> {
-        self.backend
-    }
-}
-
-impl fmt::Display for StrategyId<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.backend {
-            Some(backend) => write!(f, "{}@{}", self.base, backend),
-            None => f.write_str(self.base),
-        }
-    }
-}
 
 /// An object-safe planning strategy.
 ///
@@ -84,7 +26,7 @@ impl fmt::Display for StrategyId<'_> {
 /// [`Strategy::plan`] from worker threads, sharing one `Arc<dyn Strategy>`
 /// per strategy across runs.
 pub trait Strategy: Send + Sync {
-    /// Stable identifier (registry key, report label, cache-key component).
+    /// Stable identifier (registry key and report label).
     fn name(&self) -> &'static str;
 
     /// Whether this strategy can plan `instance` at all (e.g. 1D pipelines
@@ -106,8 +48,8 @@ fn is_row_structured(instance: &Instance) -> bool {
 /// refinement + post stages), parameterized by its LP relaxation backend.
 ///
 /// Each backend registers as a distinct strategy (`eblow1d@combinatorial`,
-/// `eblow1d@simplex`, …) so the portfolio races them and the plan cache
-/// fingerprints them separately. `supports` consults the backend's
+/// `eblow1d@simplex`) so the portfolio races them and reports them
+/// separately. `supports` consults the backend's
 /// [`LpOracle::max_cells`](eblow_core::oned::LpOracle::max_cells), so a
 /// size-limited backend never enters a race it would have to refuse.
 #[derive(Debug, Clone, Default)]
@@ -145,17 +87,6 @@ impl Eblow1dStrategy {
         Eblow1dStrategy {
             config,
             name: Some("eblow1d@simplex"),
-        }
-    }
-
-    /// The pipeline on the width-coarsening simplex wrapper: any instance
-    /// size, at some LP optimality cost. Resolvable by name
-    /// (`eblow1d@scaled`) but not part of the default race.
-    pub fn scaled() -> Self {
-        Eblow1dStrategy {
-            config: Eblow1dConfig::default()
-                .with_oracle(Arc::new(ScaledOracle::<SimplexOracle>::default())),
-            name: Some("eblow1d@scaled"),
         }
     }
 }
@@ -416,11 +347,8 @@ impl Strategy for ExactIlp2dStrategy {
 /// LP-backend variants and the sharded composites: `eblow1d@combinatorial`,
 /// `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`, `rowheur1d`, `greedy1d`,
 /// `ilp1d`, `shard1d`, `eblow2d`, `sa2d`, `greedy2d`, `ilp2d`, `shard2d`.
-/// (`eblow1d@scaled` is resolvable by name but intentionally outside the
-/// default race — its coarsened simplex is the slowest backend and strictly
-/// dominated on instances the others accept. The shard composites only
-/// enter races on huge instances via their `supports()` candidate-count
-/// gate.)
+/// (The shard composites only enter races on huge instances via their
+/// `supports()` candidate-count gate.)
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
@@ -439,32 +367,15 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     ]
 }
 
-/// Looks up a strategy by registry name.
-///
-/// Exact built-in names resolve first. Beyond those, the
-/// backend-parameterized forms of [`StrategyId`] are constructed on
-/// demand: `eblow1d` (the historical alias for `eblow1d@combinatorial`),
-/// `eblow1d@scaled`, and the sharded composites `shard1d@<inner>` /
-/// `shard2d@<inner>` (where `<inner>` is itself a registry name, e.g.
-/// `shard1d@eblow1d@simplex`). Names with a trailing `@` (an empty
-/// backend) are rejected rather than silently aliased.
+/// Looks up a built-in strategy by its exact registry name; `eblow1d` is
+/// accepted as the historical alias of `eblow1d@combinatorial`.
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
-    if name.ends_with('@') {
-        return None;
-    }
-    if let Some(s) = builtin_strategies().into_iter().find(|s| s.name() == name) {
-        return Some(s);
-    }
-    let id = StrategyId::parse(name);
-    match (id.base(), id.backend()) {
-        ("eblow1d", None) => Some(Arc::new(Eblow1dStrategy::default())),
-        ("eblow1d", Some("scaled")) => Some(Arc::new(Eblow1dStrategy::scaled())),
-        ("shard1d", Some(inner)) => crate::shard::Shard1dStrategy::with_inner(inner)
-            .map(|s| Arc::new(s) as Arc<dyn Strategy>),
-        ("shard2d", Some(inner)) => crate::shard::Shard2dStrategy::with_inner(inner)
-            .map(|s| Arc::new(s) as Arc<dyn Strategy>),
-        _ => None,
-    }
+    let name = if name == "eblow1d" {
+        "eblow1d@combinatorial"
+    } else {
+        name
+    };
+    builtin_strategies().into_iter().find(|s| s.name() == name)
 }
 
 /// The built-in strategies that support `instance`, in registry order.
@@ -516,62 +427,11 @@ mod tests {
         let names: Vec<&str> = strategies_for(&big).iter().map(|s| s.name()).collect();
         assert!(names.contains(&"eblow1d@combinatorial"));
         assert!(!names.contains(&"eblow1d@simplex"));
-        // The scaled wrapper has no cutoff and accepts it.
-        assert!(Eblow1dStrategy::scaled().supports(&big));
-    }
-
-    #[test]
-    fn strategy_id_parses_backend_parameters() {
-        let id = StrategyId::parse("eblow1d@simplex");
-        assert_eq!(id.base(), "eblow1d");
-        assert_eq!(id.backend(), Some("simplex"));
-        assert_eq!(id.to_string(), "eblow1d@simplex");
-        let bare = StrategyId::parse("greedy1d");
-        assert_eq!(bare.base(), "greedy1d");
-        assert_eq!(bare.backend(), None);
-        assert_eq!(bare.to_string(), "greedy1d");
-    }
-
-    /// Regression: `parse("eblow1d@")` used to yield `backend: Some("")`,
-    /// which silently created a registry name and cache fingerprint
-    /// distinct from the bare `eblow1d`.
-    #[test]
-    fn empty_backend_normalizes_to_none_and_is_rejected_by_lookup() {
-        let id = StrategyId::parse("eblow1d@");
-        assert_eq!(id.base(), "eblow1d");
-        assert_eq!(id.backend(), None);
-        assert_eq!(id.to_string(), "eblow1d");
-        // The registry refuses the malformed spelling outright.
-        assert!(strategy_by_name("eblow1d@").is_none());
-        assert!(strategy_by_name("shard1d@").is_none());
-    }
-
-    #[test]
-    fn shard_composites_resolve_from_the_registry() {
-        for name in [
-            "shard1d",
-            "shard1d@greedy1d",
-            "shard1d@eblow1d@simplex",
-            "shard2d",
-            "shard2d@greedy2d",
-        ] {
-            let s = strategy_by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
-            assert_eq!(s.name(), name);
-        }
-        // Both spellings of the default LP backend canonicalize to one
-        // composite name (mirroring the bare `eblow1d` alias).
-        assert_eq!(
-            strategy_by_name("shard1d@eblow1d").unwrap().name(),
-            "shard1d@eblow1d@combinatorial"
-        );
-        assert!(strategy_by_name("shard1d@bogus").is_none());
-        assert!(strategy_by_name("shard1d@shard1d").is_none(), "no nesting");
-        assert!(strategy_by_name("shard2d@eblow1d").is_none(), "wrong dim");
     }
 
     #[test]
     fn backend_variants_resolve_from_the_registry() {
-        for name in ["eblow1d@combinatorial", "eblow1d@simplex", "eblow1d@scaled"] {
+        for name in ["eblow1d@combinatorial", "eblow1d@simplex"] {
             let s = strategy_by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
             assert_eq!(s.name(), name);
         }
@@ -580,7 +440,16 @@ mod tests {
             strategy_by_name("eblow1d").unwrap().name(),
             "eblow1d@combinatorial"
         );
-        assert!(strategy_by_name("eblow1d@bogus").is_none());
+        // Only built-in names resolve: no constructed-on-demand variants,
+        // no parameterized composites, no empty backend.
+        for name in [
+            "eblow1d@bogus",
+            "eblow1d@scaled",
+            "shard1d@greedy1d",
+            "eblow1d@",
+        ] {
+            assert!(strategy_by_name(name).is_none(), "{name} must not resolve");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Engine acceptance tests: determinism against direct planner calls,
-//! portfolio-race dominance, and plan-cache behaviour across batches.
+//! portfolio-race dominance, deadlines and optimality-aware early exit.
 
 use eblow_engine::{
-    strategy_by_name, Budget, EngineError, PlanOutcome, Planner, Portfolio, PortfolioConfig,
-    Strategy, StrategyStatus,
+    strategy_by_name, Budget, EngineError, PlanOutcome, Portfolio, PortfolioConfig, Strategy,
+    StrategyStatus,
 };
 use eblow_gen::GenConfig;
 use eblow_model::Instance;
@@ -91,7 +91,6 @@ fn deadline_race_reports_every_member() {
     let portfolio = Portfolio::all_builtin();
     let config = PortfolioConfig {
         deadline: Some(Duration::from_secs(30)),
-        ..Default::default()
     };
     let outcome = portfolio.run(&inst, &config);
     assert_eq!(outcome.reports.len(), portfolio.strategies().len());
@@ -125,9 +124,10 @@ fn lp_backend_variants_race_and_both_produce_valid_plans() {
                 "1T-{k}: {} did not produce a plan: {report}",
                 report.name
             );
-            let id = report.id();
-            assert_eq!(id.base(), "eblow1d");
-            assert!(matches!(id.backend(), Some("combinatorial" | "simplex")));
+            assert!(matches!(
+                report.name,
+                "eblow1d@combinatorial" | "eblow1d@simplex"
+            ));
         }
     }
 }
@@ -142,7 +142,6 @@ fn full_registry_race_returns_within_deadline_margin() {
     let deadline = Duration::from_secs(3);
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
     let outcome = Portfolio::all_builtin().run(&inst, &config);
     // The production margin is 200 ms and is gated strictly by CI in a
@@ -210,7 +209,6 @@ fn proven_optimal_plan_short_circuits_the_race() {
     let portfolio = Portfolio::new(vec![Arc::new(Slowpoke), strategy_by_name("ilp1d").unwrap()]);
     let config = PortfolioConfig {
         deadline: Some(Duration::from_secs(30)),
-        ..Default::default()
     };
     let start = Instant::now();
     let outcome = portfolio.run(&inst, &config);
@@ -236,88 +234,16 @@ fn proven_optimal_plan_short_circuits_the_race() {
     assert!(slow.cancelled, "the certificate cancelled the sibling");
 }
 
-/// An early-exited race is cacheable: the sibling cancellations it caused
-/// do not trip the never-cache-degraded rule, so the second request is a
-/// pure cache hit with the same (optimal) plan.
-#[test]
-fn planner_caches_early_exited_races() {
-    let inst = early_exit_instance(84);
-    let planner = Planner::with_portfolio(Portfolio::new(vec![
-        Arc::new(Slowpoke),
-        strategy_by_name("ilp1d").unwrap(),
-    ]))
-    .with_config(PortfolioConfig {
-        deadline: Some(Duration::from_secs(30)),
-        ..Default::default()
-    });
-    let first = planner.plan(&inst);
-    assert!(first.early_exit);
-    let second = planner.plan(&inst);
-    let stats = planner.cache_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (1, 1),
-        "early-exited race must be cached"
-    );
-    assert_eq!(
-        first.best.as_ref().unwrap().total_time,
-        second.best.as_ref().unwrap().total_time
-    );
-    assert_eq!(second.best.unwrap().strategy, "ilp1d");
-}
-
-/// The second `plan_batch` pass over the same queue is served entirely
-/// from the cache and agrees with the first pass.
-#[test]
-fn second_plan_batch_hits_the_cache() {
-    let planner = Planner::with_portfolio(
-        Portfolio::of_names(["greedy1d", "rowheur1d", "greedy2d"]).unwrap(),
-    )
-    .with_workers(2);
-    let batch: Vec<_> = (0..3)
-        .map(|s| eblow_gen::generate(&GenConfig::tiny_1d(90 + s)))
-        .chain((0..2).map(|s| eblow_gen::generate(&GenConfig::tiny_2d(90 + s))))
-        .collect();
-
-    let first = planner.plan_batch(&batch);
-    assert!(first.iter().all(|r| !r.from_cache));
-    let stats = planner.cache_stats();
-    assert_eq!(stats.misses, batch.len() as u64);
-    assert_eq!(stats.hits, 0);
-
-    let second = planner.plan_batch(&batch);
-    assert!(
-        second.iter().all(|r| r.from_cache),
-        "pass 2 must be all hits"
-    );
-    let stats = planner.cache_stats();
-    assert_eq!(stats.hits, batch.len() as u64);
-    assert_eq!(stats.misses, batch.len() as u64);
-
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(
-            a.outcome.as_ref().unwrap().total_time,
-            b.outcome.as_ref().unwrap().total_time
-        );
-        assert_eq!(
-            a.outcome.as_ref().unwrap().strategy,
-            b.outcome.as_ref().unwrap().strategy
-        );
-    }
-}
-
 /// An exact ILP that the race deadline cuts short returns `Feasible` just
 /// before the stop flag fires (its time limit is clamped to the remaining
 /// window). That plan is deadline-degraded even though the flag never
-/// fired, so the race must not count as complete — or the planner would
-/// cache it.
+/// fired, so `PortfolioOutcome::complete()` must not vouch for the race.
 #[test]
 fn deadline_limited_exact_ilp_is_reported_degraded() {
     let inst = eblow_gen::benchmark(eblow_gen::Family::T1(5));
     let portfolio = Portfolio::of_names(["ilp1d"]).unwrap();
     let config = PortfolioConfig {
         deadline: Some(Duration::from_millis(200)),
-        ..Default::default()
     };
     let outcome = portfolio.run(&inst, &config);
     let best = outcome.best.as_ref().expect("ilp1d keeps its incumbent");

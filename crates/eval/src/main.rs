@@ -63,6 +63,7 @@
 
 #![forbid(unsafe_code)]
 
+mod io;
 mod json;
 
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
@@ -70,13 +71,12 @@ use eblow_core::oned::{
     CombinatorialOracle, Eblow1d, Eblow1dConfig, LpOracle, MkpItem, RowBase, SimplexOracle,
 };
 use eblow_core::twod::Eblow2d;
-use eblow_engine::{
-    strategy_by_name, write_text_atomic, Budget, Portfolio, PortfolioConfig, StrategyStatus,
-};
+use eblow_engine::{strategy_by_name, Budget, Portfolio, PortfolioConfig, StrategyStatus};
 use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
 use eblow_trace::export::json_escape;
+use io::write_text_atomic;
 use json::Value as JsonValue;
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,7 +214,6 @@ fn portfolio(deadline: Duration, case: Option<&str>, assert_within: Option<Durat
     let portfolio = Portfolio::all_builtin();
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
     let suites = table3_suite()
         .into_iter()
@@ -289,7 +288,6 @@ fn shard_cmd(
     );
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
     let mut ran = 0usize;
     let mut failed = false;
@@ -455,7 +453,6 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
     let portfolio = Portfolio::all_builtin();
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
     eblow_trace::set_level(eblow_trace::Level::Counters);
     let mut rows = Vec::new();
@@ -585,7 +582,6 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
     let portfolio = Portfolio::all_builtin();
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
     eblow_trace::set_level(eblow_trace::Level::Full);
     let outcome = portfolio.run(&inst, &config);

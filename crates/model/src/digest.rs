@@ -4,8 +4,8 @@
 //! determines an instance's planning outcome: the stencil outline (including
 //! row structure), every character's geometry, blanks, and shot count, and
 //! the full repeat matrix `t_ic`. Two instances with equal digests are
-//! planning-equivalent, so a digest can key a plan cache (`eblow-engine`
-//! does exactly that) or deduplicate request queues.
+//! planning-equivalent, so a digest can pin golden outputs or deduplicate
+//! request queues.
 //!
 //! The hash is a self-contained FNV-1a variant run twice with independent
 //! offset bases — no external crates, no `std::hash::Hasher` (whose output
@@ -23,8 +23,8 @@ const OFFSET_HI: u64 = 0x6C62_272E_07BB_0142; // FNV-0 of a distinct seed
 /// A streaming 64-bit FNV-1a hasher with the same stability guarantee as
 /// [`InstanceDigest`]: output never changes across processes, platforms, or
 /// compiler versions (unlike `std::hash::Hasher` implementations). Shared
-/// by the digest below and by `eblow-engine`'s cache-key fingerprints so
-/// the constants live in exactly one place.
+/// by the digest below and by the plan fingerprints of the golden and
+/// benchmark checks, so the constants live in exactly one place.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 

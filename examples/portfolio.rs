@@ -1,12 +1,12 @@
 //! Portfolio planning end-to-end: race the whole planner zoo on generated
-//! 1D and 2D instances under a wall-clock deadline, then demonstrate the
-//! digest-keyed plan cache on a repeated batch.
+//! 1D and 2D instances under a wall-clock deadline, then race the two LP
+//! backends of the 1D pipeline against each other.
 //!
 //! ```sh
 //! cargo run --release --example portfolio
 //! ```
 
-use eblow::engine::{Planner, Portfolio, PortfolioConfig};
+use eblow::engine::{Portfolio, PortfolioConfig};
 use eblow::gen::GenConfig;
 use std::time::Duration;
 
@@ -14,7 +14,6 @@ fn main() {
     let deadline = Duration::from_secs(10);
     let config = PortfolioConfig {
         deadline: Some(deadline),
-        ..Default::default()
     };
 
     // ---- a 1D (row-structured) and a 2D (free-form) instance ------------
@@ -71,42 +70,4 @@ fn main() {
          objectives agree within tolerance — see `eblow-eval agree`)",
         outcome.winner().expect("a winner")
     );
-
-    // ---- batch planning with the digest-keyed plan cache ----------------
-    println!();
-    println!("== batch planning with plan cache ==");
-    let planner = Planner::with_portfolio(Portfolio::all_builtin())
-        .with_config(config)
-        .with_workers(4);
-    let batch: Vec<_> = (0..3)
-        .map(|s| eblow::gen::generate(&GenConfig::tiny_1d(3000 + s)))
-        .chain((0..2).map(|s| eblow::gen::generate(&GenConfig::tiny_2d(3000 + s))))
-        .collect();
-
-    for pass in 1..=2 {
-        let started = std::time::Instant::now();
-        let results = planner.plan_batch(&batch);
-        let hits = results.iter().filter(|r| r.from_cache).count();
-        let stats = planner.cache_stats();
-        println!(
-            "pass {pass}: {} instances in {:.3}s — {} served from cache \
-             (cumulative: {} hits / {} misses, hit ratio {:.0}%)",
-            results.len(),
-            started.elapsed().as_secs_f64(),
-            hits,
-            stats.hits,
-            stats.misses,
-            stats.hit_ratio() * 100.0
-        );
-        for r in &results {
-            let outcome = r.outcome.as_ref().expect("plan");
-            println!(
-                "  instance {}: {} T_total={} {}",
-                r.index,
-                outcome.strategy,
-                outcome.total_time,
-                if r.from_cache { "(cache hit)" } else { "" }
-            );
-        }
-    }
 }

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`model`] | characters, instances, placements, writing-time accounting |
 //! | [`planner`] | the E-BLOW 1D/2D pipelines (with pluggable `LpOracle` backends), exact ILPs, baselines |
-//! | [`engine`] | the portfolio engine: Strategy registry (incl. `eblow1d@combinatorial` / `eblow1d@simplex` backend variants), deadline racing, plan cache |
+//! | [`engine`] | the portfolio engine: Strategy registry (incl. `eblow1d@combinatorial` / `eblow1d@simplex` backend variants), deadline racing, sharded composites |
 //! | [`gen`] | the synthetic benchmark families of the paper's evaluation |
 //! | [`lp`] | simplex + branch-and-bound MILP substrate |
 //! | [`kdtree`], [`matching`], [`seqpair`], [`anneal`] | algorithmic substrates |
@@ -27,14 +27,14 @@
 //! ```
 //!
 //! Production callers should prefer the portfolio engine, which races every
-//! applicable planner under a deadline and caches plans by instance digest:
+//! applicable planner under a deadline and keeps the best valid plan:
 //!
 //! ```
-//! use eblow::engine::Planner;
+//! use eblow::engine::{Portfolio, PortfolioConfig};
 //! use eblow::gen::GenConfig;
 //!
 //! let instance = eblow::gen::generate(&GenConfig::tiny_1d(42));
-//! let outcome = Planner::portfolio().plan(&instance);
+//! let outcome = Portfolio::all_builtin().run(&instance, &PortfolioConfig::default());
 //! let best = outcome.best.expect("some strategy produced a valid plan");
 //! println!("{} found writing time {}", best.strategy, best.total_time);
 //! ```

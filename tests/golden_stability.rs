@@ -5,12 +5,12 @@
 //! slab+CSR layout swap and the hot-path rewrite. They pin two
 //! guarantees that production callers rely on:
 //!
-//! * **Digests** — `InstanceDigest` keys plan caches and persisted
+//! * **Digests** — `InstanceDigest` fingerprints persisted instances and
 //!   artifacts; a layout change must not move a single bit.
 //! * **Planner outputs** — the full `Eblow1d` pipeline (rounding, fast ILP
 //!   convergence, refinement, post stages) must produce byte-identical
 //!   placements on the 1T reference cases, so the Tables 3/4 reproduction
-//!   and cached plans are unaffected.
+//!   and the benchmark writing times are unaffected.
 
 use eblow::gen::Family;
 use eblow::model::Fnv64;
@@ -74,7 +74,7 @@ fn reference_digests_and_planner_outputs_are_byte_stable() {
         assert_eq!(
             inst.digest().to_hex(),
             digest,
-            "1T-{} digest moved — cache keys are broken",
+            "1T-{} digest moved — persisted fingerprints are broken",
             k + 1
         );
         let plan = Eblow1d::default().plan(&inst).unwrap();

@@ -78,7 +78,7 @@ proptest! {
     }
 }
 
-/// The engine path (portfolio race + plan cache) is equally transparent:
+/// The engine path (the portfolio race) is equally transparent:
 /// a single-strategy deterministic race returns the same plan at every
 /// recorder level.
 #[test]
